@@ -277,11 +277,6 @@ impl<T> AdmissionQueue<T> {
         self.pending == 0
     }
 
-    /// Distinct non-empty lanes.
-    pub fn lane_count(&self) -> usize {
-        self.lanes.len()
-    }
-
     /// High-water mark of the queue depth over this queue's life.
     pub fn peak_depth(&self) -> usize {
         self.peak_depth

@@ -27,6 +27,7 @@
 //! type, provisioning) replay bit-identically for a given seed.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 use androne_cloud::{
     AdmissionConfig, FallibleCloud, OrderRequest, OrderSubmitError, PlacedOrder, SaveReason,
@@ -36,7 +37,7 @@ use androne_container::{ContainerArchive, ContainerKind, Layer};
 use androne_energy::DorlingModel;
 use androne_hal::GeoPoint;
 use androne_obs::{MetricsRegistry, ObsHandle};
-use androne_planner::{bin_pack, PackItem};
+use androne_planner::Packer;
 use androne_simkern::StateHasher;
 use androne_vdc::WaypointSpec;
 
@@ -321,8 +322,12 @@ fn waypoint_need(model: &DorlingModel, wp: &GeoPoint) -> (f64, f64) {
     )
 }
 
-/// Live per-tenant state between admission and terminal resolution.
+/// Live per-tenant state between admission and terminal resolution,
+/// indexed by a dense id assigned in admission order.
 struct TenantState {
+    /// Virtual drone name: the VDR key, shared with the islands that
+    /// fold it into their digests.
+    name: Arc<str>,
     user: String,
     /// Per-waypoint `(energy_j, time_s)` needs from the placed spec.
     needs: Vec<(f64, f64)>,
@@ -336,7 +341,9 @@ struct TenantState {
     flights_flown: u32,
     submitted_clock_s: f64,
     resolution: Option<(ScaleResolution, f64)>,
-    spec: androne_vdc::VirtualDroneSpec,
+    /// Boxed to keep the dense table small: the final outcome pass
+    /// holds the whole table while it frees each spec in turn.
+    spec: Box<androne_vdc::VirtualDroneSpec>,
 }
 
 /// Plain data one flight carries onto a worker thread.
@@ -347,7 +354,8 @@ struct ScaleWork {
 }
 
 struct ScaleLeg {
-    owner: String,
+    id: usize,
+    owner: Arc<str>,
     dist_m: f64,
 }
 
@@ -355,7 +363,8 @@ struct ScaleLeg {
 struct ScaleFlightOut {
     wave: u64,
     flight_index: u64,
-    served: Vec<(String, f64, f64)>,
+    /// `(tenant id, energy_j, time_s)` per leg, in leg order.
+    served: Vec<(usize, f64, f64)>,
     energy_j: f64,
     duration_s: f64,
     digest: u64,
@@ -379,7 +388,7 @@ fn fly_island(model: DorlingModel, work: ScaleWork) -> ScaleFlightOut {
         h.write_f64(t);
         energy += e;
         duration += t;
-        served.push((leg.owner.clone(), e, t));
+        served.push((leg.id, e, t));
     }
     ScaleFlightOut {
         wave: work.wave,
@@ -433,8 +442,14 @@ pub fn execute_scale_fleet(cfg: &ScaleConfig) -> ScaleOutcome {
         * (model.leg_energy_j(2.0 * worst_dist, 0.0) + SERVICE_ENERGY_J)
         + 1.0;
 
-    let mut states: BTreeMap<String, TenantState> = BTreeMap::new();
-    let mut ready: VecDeque<String> = VecDeque::new();
+    let mut states: Vec<TenantState> = Vec::with_capacity(cfg.tenants);
+    // Tenants cleared to fly their next waypoint, in FIFO order:
+    // spilled first, then those newly through the affordability gate.
+    let mut ready: VecDeque<usize> = VecDeque::new();
+    // Tenants not yet through the gate: landed with waypoints left
+    // (merge order), then admitted this wave (admission order).
+    let mut fresh: Vec<usize> = Vec::new();
+    let mut resolved = 0usize;
     let mut retries: BTreeMap<u64, Vec<PlacedOrder>> = BTreeMap::new();
     let mut flights: Vec<ScaleFlightRecord> = Vec::new();
     let mut clock_s = 0.0f64;
@@ -503,37 +518,35 @@ pub fn execute_scale_fleet(cfg: &ScaleConfig) -> ScaleOutcome {
                 .iter()
                 .map(|wp| BASE.ground_distance_m(&wp.position()))
                 .collect();
-            let name = placed.vd_name.clone();
-            states.insert(
-                name.clone(),
-                TenantState {
-                    user: placed.user.clone(),
-                    needs,
-                    dists,
-                    next_wp: 0,
-                    remaining_e: placed.spec.energy_allotted,
-                    remaining_t: placed.spec.max_duration,
-                    billed_e: 0.0,
-                    refunded_e: 0.0,
-                    flights_flown: 0,
-                    submitted_clock_s: 0.0,
-                    resolution: None,
-                    spec: placed.spec,
-                },
-            );
-            ready.push_back(name);
+            fresh.push(states.len());
+            states.push(TenantState {
+                name: placed.vd_name.into(),
+                user: placed.user,
+                needs,
+                dists,
+                next_wp: 0,
+                remaining_e: placed.spec.energy_allotted,
+                remaining_t: placed.spec.max_duration,
+                billed_e: 0.0,
+                refunded_e: 0.0,
+                flights_flown: 0,
+                submitted_clock_s: 0.0,
+                resolution: None,
+                spec: Box::new(placed.spec),
+            });
         }
         obs.gauge_max(
             "scale.queue_depth_peak",
             cloud.admission().peak_depth() as f64,
         );
 
-        // ── Plan: affordability gate, then first-fit bin-packing.
-        let mut items: Vec<PackItem> = Vec::new();
-        let mut item_names: Vec<String> = Vec::new();
-        for _ in 0..ready.len() {
-            let Some(name) = ready.pop_front() else { break };
-            let Some(st) = states.get_mut(&name) else { continue };
+        // ── Plan: the affordability gate runs once per queue entry —
+        // a waiting tenant's state does not change, so one that passed
+        // stays affordable — then first-fit packs the ready queue until
+        // every flight is at the party cap. Only fresh entries and one
+        // fleet's worth of ready tenants are touched per wave.
+        for id in fresh.drain(..) {
+            let st = &mut states[id];
             let Some(&(need_e, need_t)) = st.needs.get(st.next_wp) else {
                 continue;
             };
@@ -543,44 +556,52 @@ pub fn execute_scale_fleet(cfg: &ScaleConfig) -> ScaleOutcome {
                 let refund = st.remaining_e.max(0.0);
                 st.refunded_e = refund;
                 st.resolution = Some((ScaleResolution::Exhausted, clock_s));
-                cloud.refund_unserved(&st.user.clone(), &name, refund);
+                resolved += 1;
+                cloud.refund_unserved(&st.user, &st.name, refund);
                 obs.count("scale.tenants_exhausted", 1);
                 continue;
             }
-            items.push(PackItem {
-                owner: name.clone(),
-                energy_j: need_e,
-                time_s: need_t,
-            });
-            item_names.push(name);
+            ready.push_back(id);
         }
-        let packing = bin_pack(
-            &items,
+        let mut packer = Packer::new(
             cfg.fleet_size.max(1),
             MAX_VDRONES_PER_FLIGHT,
             battery_budget_j,
         );
-        // Spilled orders lead the next wave, in FIFO order.
-        for &idx in &packing.spilled {
-            if let Some(name) = item_names.get(idx) {
-                ready.push_back(name.clone());
+        let mut spilled: Vec<usize> = Vec::new();
+        while !packer.is_full() {
+            let Some(id) = ready.pop_front() else { break };
+            let st = &states[id];
+            let Some(&(need_e, need_t)) = st.needs.get(st.next_wp) else {
+                continue;
+            };
+            if !packer.offer(id, need_e, need_t) {
+                spilled.push(id);
             }
         }
-        obs.count("scale.legs_spilled", packing.spilled.len() as u64);
+        // Spilled orders lead the next wave, in FIFO order, ahead of
+        // the never-offered rest (which a full fleet would spill too).
+        for &id in spilled.iter().rev() {
+            ready.push_front(id);
+        }
+        obs.count("scale.legs_spilled", ready.len() as u64);
 
         // ── Fly: packed flights become closed-form islands.
-        let mut works: Vec<ScaleWork> = Vec::with_capacity(packing.flights.len());
-        for flight in &packing.flights {
-            let mut legs = Vec::with_capacity(flight.items.len());
-            for &idx in &flight.items {
-                let Some(name) = item_names.get(idx) else { continue };
-                let Some(st) = states.get(name) else { continue };
-                let Some(&dist) = st.dists.get(st.next_wp) else { continue };
-                legs.push(ScaleLeg {
-                    owner: name.clone(),
-                    dist_m: dist,
-                });
-            }
+        let packed = packer.into_flights();
+        let mut works: Vec<ScaleWork> = Vec::with_capacity(packed.len());
+        for flight in &packed {
+            let legs = flight
+                .items
+                .iter()
+                .filter_map(|&idx| {
+                    let st = states.get(idx)?;
+                    Some(ScaleLeg {
+                        id: idx,
+                        owner: Arc::clone(&st.name),
+                        dist_m: *st.dists.get(st.next_wp)?,
+                    })
+                })
+                .collect();
             works.push(ScaleWork {
                 wave,
                 flight_index: flight_counter,
@@ -590,13 +611,11 @@ pub fn execute_scale_fleet(cfg: &ScaleConfig) -> ScaleOutcome {
         }
         // Leases: a tenant flying a non-first flight checks its saved
         // state out of the VDR for the duration (commit on landing).
-        let mut leased: Vec<String> = Vec::new();
-        for work in &works {
-            for leg in &work.legs {
-                let resuming = states.get(&leg.owner).is_some_and(|s| s.flights_flown > 0);
-                if resuming && cloud.inner.vdr.checkout(&leg.owner).is_some() {
-                    leased.push(leg.owner.clone());
-                }
+        let mut leased: Vec<usize> = Vec::new();
+        for leg in works.iter().flat_map(|w| &w.legs) {
+            let resuming = states[leg.id].flights_flown > 0;
+            if resuming && cloud.inner.vdr.checkout(&leg.owner).is_some() {
+                leased.push(leg.id);
             }
         }
         let outs = pool.run(works, |w| fly_island(model, w));
@@ -616,8 +635,8 @@ pub fn execute_scale_fleet(cfg: &ScaleConfig) -> ScaleOutcome {
             obs.count("scale.flights", 1);
             obs.count("scale.legs", out.served.len() as u64);
             let landing_clock = clock_s + out.duration_s;
-            for (name, e, t) in out.served {
-                let Some(st) = states.get_mut(&name) else { continue };
+            for (id, e, t) in out.served {
+                let st = &mut states[id];
                 st.remaining_e -= e;
                 st.remaining_t -= t;
                 st.billed_e += e;
@@ -631,10 +650,10 @@ pub fn execute_scale_fleet(cfg: &ScaleConfig) -> ScaleOutcome {
                     SaveReason::Interrupted
                 };
                 cloud.inner.vdr.store(SavedVirtualDrone {
-                    name: name.clone(),
+                    name: st.name.to_string(),
                     owner: st.user.clone(),
-                    spec: st.spec.clone(),
-                    archive: synthetic_archive(&name, st.next_wp),
+                    spec: (*st.spec).clone(),
+                    archive: synthetic_archive(&st.name, st.next_wp),
                     app_state: format!("{{\"wp\":{}}}", st.next_wp),
                     reason,
                     remaining_energy_j: st.remaining_e,
@@ -644,14 +663,15 @@ pub fn execute_scale_fleet(cfg: &ScaleConfig) -> ScaleOutcome {
                 });
                 if done {
                     st.resolution = Some((ScaleResolution::Completed, landing_clock));
+                    resolved += 1;
                     obs.count("scale.tenants_completed", 1);
                 } else {
-                    ready.push_back(name);
+                    fresh.push(id);
                 }
             }
         }
-        for name in leased {
-            cloud.inner.vdr.commit(&name);
+        for id in leased {
+            cloud.inner.vdr.commit(&states[id].name);
         }
 
         // ── Compact when the journal has doubled past the live set.
@@ -671,9 +691,11 @@ pub fn execute_scale_fleet(cfg: &ScaleConfig) -> ScaleOutcome {
         obs.count("scale.waves", 1);
 
         // ── Quiescence: everything admitted, flown, and resolved.
-        let all_resolved =
-            states.len() == cfg.tenants && states.values().all(|s| s.resolution.is_some());
-        if all_resolved && ready.is_empty() && retries.is_empty() && cloud.admission().is_empty()
+        if resolved == cfg.tenants
+            && ready.is_empty()
+            && fresh.is_empty()
+            && retries.is_empty()
+            && cloud.admission().is_empty()
         {
             quiescent = true;
             break;
@@ -693,14 +715,14 @@ pub fn execute_scale_fleet(cfg: &ScaleConfig) -> ScaleOutcome {
     let mut latencies: Vec<f64> = Vec::with_capacity(states.len());
     let tenants: BTreeMap<String, ScaleTenantOutcome> = states
         .into_iter()
-        .map(|(name, st)| {
+        .map(|st| {
             let (resolution, resolved_clock) = st
                 .resolution
                 .unwrap_or((ScaleResolution::Exhausted, clock_s));
             let latency = resolved_clock - st.submitted_clock_s;
             latencies.push(latency);
             (
-                name,
+                st.name.to_string(),
                 ScaleTenantOutcome {
                     user: st.user,
                     resolution,

@@ -26,7 +26,7 @@ pub mod mission;
 pub mod pilot;
 pub mod vrp;
 
-pub use binpack::{bin_pack, PackItem, PackedFlight, Packing};
+pub use binpack::{bin_pack, PackItem, PackedFlight, Packer, Packing};
 pub use constraints::{ConstraintViolation, RouteConstraints};
 pub use mission::{FlightPlan, Leg};
 pub use pilot::{Autopilot, PilotEvent, PILOT_CLIENT};

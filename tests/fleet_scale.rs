@@ -12,10 +12,12 @@
 //! - **Wrapper equivalence** — the deprecated `execute_fleet_attacked`
 //!   door is byte-identical to `FleetSpec::attacks`, and a
 //!   `vdr_shards(4)` fleet run is byte-identical to the 1-shard run.
-//! - **Scaling ladder smoke** — the 10k-tenant rung runs to
-//!   quiescence with digests invariant across shards 1/4 and threads
-//!   1/4 (the `fleet-scale-smoke` CI leg), and an `#[ignore]`d
-//!   100k rung covers the full acceptance matrix.
+//! - **Scaling ladder** — a small spill-heavy config and the 10k
+//!   rung reproduce pinned digests, the executor's outcome invariants
+//!   hold at threads 1/4 × shards 1/4, and the 10k rung's digests are
+//!   invariant across widths. The 100k rung is `#[ignore]`d because
+//!   tier-1 runs debug builds; the `fleet-scale-smoke` CI leg runs it
+//!   in release (about 2 s per execution).
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -31,7 +33,9 @@ use androne::hal::GeoPoint;
 use androne::simkern::{CloudFaultKind, FleetFaultPlan};
 use androne::vdc::{VirtualDroneSpec, WaypointSpec};
 use androne::workloads::AttackPlan;
-use androne::{execute_scale_fleet, AttackDefense, FleetAttackPlan, ScaleConfig};
+use androne::{
+    execute_scale_fleet, AttackDefense, FleetAttackPlan, ScaleConfig, ScaleOutcome, ScaleResolution,
+};
 use proptest::prelude::*;
 
 const BASE: GeoPoint = GeoPoint::new(43.6084298, -85.8110359, 0.0);
@@ -347,14 +351,87 @@ fn fleet_run_is_digest_invariant_across_vdr_shards() {
     assert_eq!(one.metrics_digest(), four.metrics_digest());
 }
 
+/// A small rung whose admission (40/wave, queue 80) far outruns its
+/// fleet (4 drones × party cap 3): backpressure, a long spilled
+/// backlog, and under-provisioned tenants exhausting both at their
+/// first waypoint and after landing.
+fn spill_heavy() -> ScaleConfig {
+    ScaleConfig {
+        tenants: 300,
+        fleet_size: 4,
+        admit_per_wave: 40,
+        queue_capacity: 80,
+        ..ScaleConfig::rung(300)
+    }
+}
+
+/// Asserts `(fleet_digest, metrics_digest, waves_run)`.
+fn assert_pinned(out: &ScaleOutcome, fleet: u64, metrics: u64, waves: u64) {
+    assert_eq!(out.fleet_digest(), fleet, "fleet_digest moved");
+    assert_eq!(out.metrics_digest(), metrics, "metrics_digest moved");
+    assert_eq!(out.waves_run, waves, "wave count moved");
+}
+
+/// Literal digests: planning each wave in O(fleet capacity) must be
+/// byte-identical to gating and packing the whole ready backlog every
+/// wave (DESIGN.md, "Plan-stage cost").
+#[test]
+fn scale_spill_heavy_digests_are_pinned() {
+    let out = execute_scale_fleet(&spill_heavy());
+    assert!(out.quiescent);
+    assert!(out.metrics.counter("scale.legs_spilled") > 0, "must spill");
+    assert!(out.backpressured_submissions > 0, "must backpressure");
+    assert_pinned(&out, 0x9a26_ec6d_f150_c3b1, 0x6cf8_3154_2013_180c, 49);
+}
+
+/// Terminal accounting adds up at every width: each tenant resolves
+/// once, served waypoints match flown legs, completions are whole and
+/// unrefunded, exhaustions are partial and refunded, and no VDR lease
+/// outlives the run.
+#[test]
+fn scale_outcome_invariants_hold_across_shards_and_threads() {
+    for (threads, shards) in [(1usize, 1usize), (4, 1), (1, 4), (4, 4)] {
+        let cfg = spill_heavy().threads(threads).shards(shards);
+        let out = execute_scale_fleet(&cfg);
+        let at = format!("threads={threads} shards={shards}");
+        assert!(out.quiescent, "{at}: not quiescent");
+        assert_eq!(out.tenants.len(), cfg.tenants, "{at}: tenant count");
+        assert_eq!(out.completed() + out.exhausted(), cfg.tenants, "{at}");
+        assert!(out.exhausted() > 0, "{at}: the exhaustion path must run");
+        let legs: u64 = out.flights.iter().map(|f| u64::from(f.legs)).sum();
+        let served: usize = out.tenants.values().map(|t| t.waypoints_completed).sum();
+        let flown: u64 = out
+            .tenants
+            .values()
+            .map(|t| u64::from(t.flights_flown))
+            .sum();
+        assert_eq!(served as u64, legs, "{at}: waypoints served vs legs flown");
+        assert_eq!(flown, legs, "{at}: tenant flights vs legs flown");
+        for (name, t) in &out.tenants {
+            match t.resolution {
+                ScaleResolution::Completed => {
+                    assert_eq!(t.waypoints_completed, t.waypoints_total, "{at}: {name}");
+                    assert_eq!(t.refunded_energy_j, 0.0, "{at}: {name} refunded");
+                }
+                ScaleResolution::Exhausted => {
+                    assert!(t.refunded_energy_j > 0.0, "{at}: {name} unrefunded");
+                    assert!(t.waypoints_completed < t.waypoints_total, "{at}: {name}");
+                }
+            }
+        }
+        assert_eq!(out.vdr.leased, 0, "{at}: lease outstanding");
+    }
+}
+
 /// The `fleet-scale-smoke` CI leg: the 10k-tenant rung runs to
-/// quiescence, every tenant resolves terminally, backpressure
-/// engages, and the digests are invariant across shards 1/4 and
-/// threads 1/4.
+/// quiescence with pinned digests, every tenant resolves terminally,
+/// backpressure engages, and the digests are invariant across shards
+/// 1/4 and threads 1/4.
 #[test]
 fn scale_10k_digests_invariant_across_shards_and_threads() {
     let reference = execute_scale_fleet(&ScaleConfig::rung(10_000));
     assert!(reference.quiescent, "10k rung did not reach quiescence");
+    assert_pinned(&reference, 0x9e3c_5fdf_eaf9_d91b, 0xbd7a_8887_88a5_568e, 26);
     assert_eq!(
         reference.completed() + reference.exhausted(),
         10_000,
@@ -384,15 +461,21 @@ fn scale_10k_digests_invariant_across_shards_and_threads() {
 }
 
 /// Full acceptance matrix for the top rung: 100k tenants to
-/// quiescence, digests identical across threads 1/4/8 and shards
-/// 1/4. Ignored by default (several seconds per run in release, far
-/// more in debug); run with
-/// `cargo test --release --test fleet_scale -- --ignored`.
+/// quiescence with pinned digests, identical across threads 1/4/8 and
+/// shards 1/4. Ignored by default (about 2 s per run in release, far
+/// more in debug); the `fleet-scale-smoke` CI leg runs it with
+/// `cargo test --release --test fleet_scale -- --ignored scale_100k`.
 #[test]
 #[ignore = "top rung of the scaling ladder; run in release"]
 fn scale_100k_runs_to_quiescence_at_every_width() {
     let reference = execute_scale_fleet(&ScaleConfig::rung(100_000));
     assert!(reference.quiescent, "100k rung did not reach quiescence");
+    assert_pinned(
+        &reference,
+        0x4bd7_434e_1760_f6d8,
+        0xf004_a6c0_6cf4_2172,
+        251,
+    );
     assert_eq!(reference.completed() + reference.exhausted(), 100_000);
     for (threads, shards) in [(4usize, 1usize), (8, 1), (1, 4)] {
         let run = execute_scale_fleet(&ScaleConfig::rung(100_000).threads(threads).shards(shards));
