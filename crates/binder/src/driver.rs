@@ -523,11 +523,6 @@ impl BinderDriver {
         self.fault = fault;
     }
 
-    /// The currently armed fault injection, if any.
-    pub fn fault_injection(&self) -> Option<BinderFaultInjection> {
-        self.fault
-    }
-
     /// Advances the sim time token buckets refill against. The
     /// flight executor calls this once per observer tick; with no
     /// budgets configured it is a plain store with no hashed effect.
@@ -895,11 +890,6 @@ impl BinderDriver {
             }
         }
         Ok(())
-    }
-
-    /// Returns the Context Manager node for a namespace, if any.
-    pub fn context_manager(&self, ns: DeviceNamespaceId) -> Option<NodeId> {
-        self.context_managers.get(&ns).copied()
     }
 
     fn resolve_handle(&self, pid: Pid, handle: u32) -> Result<NodeId, BinderError> {
@@ -1337,11 +1327,6 @@ impl BinderDriver {
                 }
             }
         }
-    }
-
-    /// Whether a node is still alive (diagnostics).
-    pub fn node_alive(&self, node: NodeId) -> bool {
-        self.node(node).is_some_and(|n| n.alive)
     }
 }
 

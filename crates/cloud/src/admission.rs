@@ -90,8 +90,7 @@ impl Backpressure for AdmissionError {
 }
 
 /// An item released by the admitter, with its lane and the global
-/// sequence number it was enqueued under (FIFO evidence, and the key
-/// for [`AdmissionQueue::requeue_front`]).
+/// sequence number it was enqueued under (FIFO evidence).
 #[derive(Debug, Clone)]
 pub struct Admitted<T> {
     pub lane: String,
@@ -129,10 +128,6 @@ impl<T> AdmissionQueue<T> {
             admitted_total: 0,
             backpressure_total: 0,
         }
-    }
-
-    pub fn config(&self) -> AdmissionConfig {
-        self.cfg
     }
 
     /// Enqueues `item` on `lane` at wave `wave`. Non-blocking: at
@@ -182,21 +177,6 @@ impl<T> AdmissionQueue<T> {
             self.peak_depth = self.pending;
         }
         seq
-    }
-
-    /// Puts an admitted item back at the *front* of its lane under
-    /// its original sequence number — used when a wave's bin-packer
-    /// spills part of an admitted batch back for the next wave
-    /// without costing the tenant its FIFO position.
-    pub fn requeue_front(&mut self, admitted: Admitted<T>) {
-        self.lanes
-            .entry(admitted.lane)
-            .or_default()
-            .push_front((admitted.seq, admitted.item));
-        self.pending += 1;
-        if self.pending > self.peak_depth {
-            self.peak_depth = self.pending;
-        }
     }
 
     /// Releases this wave's batch. With no quota configured, drains
@@ -374,26 +354,6 @@ mod tests {
         }
         assert_eq!(q.backpressure_total(), 1);
         assert_eq!(err.retry_wave(), Some(6));
-    }
-
-    #[test]
-    fn requeue_front_restores_fifo_position() {
-        let mut q = AdmissionQueue::new(AdmissionConfig::batched(2, 100));
-        q.enqueue("a", 1u32, 0).unwrap();
-        q.enqueue("a", 2u32, 0).unwrap();
-        let batch = q.admit();
-        assert_eq!(batch.len(), 2);
-        // Spill the first admitted item back: it must come out first
-        // again, ahead of the one behind it in the lane.
-        let first = batch.into_iter().next().unwrap();
-        q.requeue_front(first);
-        q.enqueue("a", 3u32, 1).unwrap();
-        let batch2 = q.admit();
-        assert_eq!(
-            drain_names(&batch2),
-            vec![("a".into(), 1), ("a".into(), 3)],
-            "requeued item keeps its lane-front position"
-        );
     }
 
     #[test]

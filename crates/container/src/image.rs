@@ -106,7 +106,10 @@ impl Layer {
         self.changes.values().map(FileChange::size).sum()
     }
 
-    /// Content-derived identifier (FNV-1a over paths and contents).
+    /// Content-derived identifier: an FNV-1a-style fold over paths and
+    /// contents. Its multiplier is `0x1000_0000_01b3`, not FNV's
+    /// `0x100_0000_01b3` (so not `simkern::StateHasher`), and stays so
+    /// that every existing layer id is unchanged.
     ///
     /// Identical layer contents always hash identically, which is what
     /// lets the [`ImageStore`] deduplicate shared base layers.
@@ -360,6 +363,16 @@ mod tests {
         let mut other = base();
         other.write("/x", "y");
         assert_ne!(base().id(), other.id());
+    }
+
+    /// Pins the fold (path, change tag 1 = write / 0 = whiteout,
+    /// contents) and its multiplier: stored layer ids depend on it.
+    #[test]
+    fn layer_id_is_pinned() {
+        let mut layer = Layer::new();
+        layer.write("/data/app/survey.apk", "survey");
+        layer.whiteout("/etc/init.rc");
+        assert_eq!(layer.id(), LayerId(0x1743_c0d7_3310_cbe9));
     }
 
     #[test]

@@ -141,35 +141,9 @@ impl Androne {
             let Some(order) = orders.iter().find(|o| &o.vd_name == owner) else {
                 continue;
             };
-            // Collect marked files from the container before export.
-            let (marked, energy_used, completed_all, wp_this_flight, remaining_e, remaining_t) = {
-                let vdc = drone.vdc.borrow();
-                let rec = vdc.record(owner);
-                (
-                    rec.map(|r| r.marked_files.clone()).unwrap_or_default(),
-                    rec.map(|r| r.spec.energy_allotted - r.energy_remaining_j())
-                        .unwrap_or(0.0),
-                    rec.map(|r| r.waypoints_completed() >= r.spec.waypoints.len())
-                        .unwrap_or(false),
-                    rec.map(|r| r.waypoints_completed()).unwrap_or(0),
-                    rec.map(|r| r.energy_remaining_j()).unwrap_or(0.0),
-                    rec.map(|r| r.time_remaining_s()).unwrap_or(0.0),
-                )
-            };
-            let mut files = Vec::new();
-            for path in marked {
-                if let Some(vd) = drone.vdrones.get(owner) {
-                    let _ = vd;
-                }
-                let data = drone
-                    .runtime
-                    .get(owner)
-                    .and_then(|c| c.fs.read(&path))
-                    .unwrap_or_else(|| bytes::Bytes::from_static(b""));
-                files.push((path, data));
-            }
+            let usage = drone.flight_usage(owner);
             self.cloud
-                .complete_flight(&order.user, flight_id, energy_used, files);
+                .complete_flight(&order.user, flight_id, usage.energy_used_j, usage.files);
 
             // Save the virtual drone in the VDR with resume
             // bookkeeping: absolute mission progress and the
@@ -182,14 +156,14 @@ impl Androne {
                 spec: order.spec.clone(),
                 archive,
                 app_state,
-                reason: if completed_all {
+                reason: if usage.completed_all {
                     SaveReason::Completed
                 } else {
                     SaveReason::Interrupted
                 },
-                remaining_energy_j: remaining_e,
-                remaining_time_s: remaining_t,
-                waypoints_completed: wp_prior + wp_this_flight,
+                remaining_energy_j: usage.remaining_energy_j,
+                remaining_time_s: usage.remaining_time_s,
+                waypoints_completed: wp_prior + usage.waypoints_flown,
                 flights_flown: flights_prior + 1,
             });
         }

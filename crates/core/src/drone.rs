@@ -91,6 +91,27 @@ pub struct DeployedVdrone {
     pub sdk: AndroneSdk,
 }
 
+/// A virtual drone's post-flight usage: allotment use and mission
+/// progress from its VDC record, plus the files it marked for
+/// offload. An unregistered drone reads as all zeros.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct FlightUsage {
+    /// Allotted energy spent, joules.
+    pub energy_used_j: f64,
+    /// Allotted service time spent, seconds.
+    pub time_used_s: f64,
+    /// Whether every ordered waypoint of the deployed spec is served.
+    pub completed_all: bool,
+    /// Waypoints of the deployed spec served.
+    pub waypoints_flown: usize,
+    /// Energy allotment left, joules.
+    pub remaining_energy_j: f64,
+    /// Time allotment left, seconds.
+    pub remaining_time_s: f64,
+    /// Marked files with their contents (empty when unreadable).
+    pub files: Vec<(String, bytes::Bytes)>,
+}
+
 /// One physical drone with the full AnDrone onboard stack.
 pub struct Drone {
     /// The shared kernel.
@@ -466,6 +487,36 @@ impl Drone {
         self.vdc.borrow_mut().unregister(name);
         self.vdrones.remove(name);
         Ok((archive, app_state))
+    }
+
+    /// Reads `name`'s [`FlightUsage`] after a flight, before it is
+    /// saved.
+    pub(crate) fn flight_usage(&self, name: &str) -> FlightUsage {
+        let vdc = self.vdc.borrow();
+        let Some(rec) = vdc.record(name) else {
+            return FlightUsage::default();
+        };
+        let files = rec
+            .marked_files
+            .iter()
+            .map(|path| {
+                let data = self
+                    .runtime
+                    .get(name)
+                    .and_then(|c| c.fs.read(path))
+                    .unwrap_or_else(|| bytes::Bytes::from_static(b""));
+                (path.clone(), data)
+            })
+            .collect();
+        FlightUsage {
+            energy_used_j: rec.spec.energy_allotted - rec.energy_remaining_j(),
+            time_used_s: rec.spec.max_duration - rec.time_remaining_s(),
+            completed_all: rec.waypoints_completed() >= rec.spec.waypoints.len(),
+            waypoints_flown: rec.waypoints_completed(),
+            remaining_energy_j: rec.energy_remaining_j(),
+            remaining_time_s: rec.time_remaining_s(),
+            files,
+        }
     }
 
     /// Whether a container may control the flight right now (the

@@ -16,12 +16,13 @@
 //!   [`FallibleCloud`], so portal outages queue orders, VDR outages
 //!   defer resumes, and storage outages buffer offloads.
 //!
-//! Everything is a pure function of the config seed and the fault
-//! plan: per-flight kernel seeds are FNV-mixed from
+//! [`FleetSpec::run`] is the only way in. Everything is a pure
+//! function of the config seed and the fault plan: per-flight kernel
+//! seeds are [`substream_seed`] FNV mixes of
 //! `(seed, wave, flight_index)`, iteration orders are `BTreeMap`
-//! orders, and the RNG streams never observe wall clock. Two runs of
-//! [`execute_fleet`] with equal inputs are bit-identical — the fleet
-//! chaos gate's first invariant.
+//! orders, and the RNG streams never observe wall clock. Two runs
+//! with equal inputs are bit-identical — the fleet chaos gate's
+//! first invariant.
 //!
 //! ## Deterministic parallel waves
 //!
@@ -45,9 +46,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use androne_cloud::{
-    AdmissionConfig, AdmissionQueue, FallibleCloud, PlacedOrder, SaveReason, SavedVirtualDrone,
-};
+use androne_cloud::{FallibleCloud, PlacedOrder, SaveReason, SavedVirtualDrone};
 use androne_hal::GeoPoint;
 use androne_obs::{MetricsRegistry, ObsHandle, Subsystem, TraceSegment};
 use androne_planner::FlightPlan;
@@ -57,7 +56,7 @@ use androne_workloads::{AdaptivePlan, AttackPlan};
 
 use crate::adaptive::AdaptiveInjector;
 use crate::attack::{AttackDefense, AttackInjector, RtMonitor};
-use crate::drone::{Drone, DroneError};
+use crate::drone::{Drone, DroneError, FlightUsage};
 use crate::flight_exec::{execute_flight_probed, EndReason, FlightLog};
 use crate::injector::FaultInjector;
 use crate::pool::{WorkerError, WorkerPool};
@@ -276,9 +275,9 @@ fn end_reason_tag(r: EndReason) -> u8 {
 
 /// Fleet-level adversarial workload: per-flight-index attack plans
 /// plus the enforcement posture shared by every attacked flight.
-/// [`FleetAttackPlan::none`] (what [`execute_fleet`] uses) drives
-/// zero attack machinery — the attacked executor with an empty plan
-/// is bit-identical to the legacy one.
+/// [`FleetAttackPlan::none`] (what [`FleetSpec::new`] installs)
+/// drives zero attack machinery — a run with an empty plan is
+/// bit-identical to one that never heard of attacks.
 #[derive(Debug, Clone, Default)]
 pub struct FleetAttackPlan {
     /// Attack plans keyed by global flight index; missing indices fly
@@ -320,15 +319,6 @@ impl FleetAttackPlan {
             .cloned()
             .unwrap_or_else(AdaptivePlan::empty)
     }
-}
-
-/// The per-flight kernel seed: a pure FNV mix of the run seed, the
-/// wave, and the global flight index. No hidden counters — replaying
-/// the same (config, plan) replays the same seeds. Delegates to the
-/// kernel's substream derivation so every seed consumer agrees on
-/// the fold.
-fn flight_seed(run_seed: u64, wave: u64, flight_index: usize) -> u64 {
-    substream_seed(run_seed, wave, flight_index)
 }
 
 /// Mutable per-tenant bookkeeping while the run is in progress.
@@ -394,14 +384,8 @@ struct OwnerPost {
     owner: String,
     wp_prior: usize,
     flights_prior: u32,
-    energy_used: f64,
-    time_used: f64,
-    completed_all: bool,
-    wp_flight: usize,
-    rem_e: f64,
-    rem_t: f64,
+    usage: FlightUsage,
     revoked: bool,
-    file_data: Vec<(String, bytes::Bytes)>,
     archive: androne_container::ContainerArchive,
     app_state: String,
 }
@@ -531,33 +515,7 @@ fn run_island(item: PlanWork, panic_flight: Option<usize>) -> Result<IslandVerdi
         if drone.pending_restarts.contains_key(owner) {
             drone.supervised_restart_vdrone(owner)?;
         }
-        let (files, energy_used, time_used, completed_all, wp_flight, rem_e, rem_t) = {
-            let vdc = drone.vdc.borrow();
-            let rec = vdc.record(owner);
-            (
-                rec.map(|r| r.marked_files.clone()).unwrap_or_default(),
-                rec.map(|r| r.spec.energy_allotted - r.energy_remaining_j())
-                    .unwrap_or(0.0),
-                rec.map(|r| r.spec.max_duration - r.time_remaining_s())
-                    .unwrap_or(0.0),
-                rec.map(|r| r.waypoints_completed() >= r.spec.waypoints.len())
-                    .unwrap_or(false),
-                rec.map(|r| r.waypoints_completed()).unwrap_or(0),
-                rec.map(|r| r.energy_remaining_j()).unwrap_or(0.0),
-                rec.map(|r| r.time_remaining_s()).unwrap_or(0.0),
-            )
-        };
-        let file_data: Vec<(String, bytes::Bytes)> = files
-            .into_iter()
-            .map(|path| {
-                let data = drone
-                    .runtime
-                    .get(owner)
-                    .and_then(|c| c.fs.read(&path))
-                    .unwrap_or_else(|| bytes::Bytes::from_static(b""));
-                (path, data)
-            })
-            .collect();
+        let usage = drone.flight_usage(owner);
         // Revocation shows up as a WaypointEnd when it fired at an
         // active waypoint, or only as the VDC record flag when the
         // QoS ladder revoked the tenant mid-transit.
@@ -581,14 +539,8 @@ fn run_island(item: PlanWork, panic_flight: Option<usize>) -> Result<IslandVerdi
             owner: owner.clone(),
             wp_prior,
             flights_prior,
-            energy_used,
-            time_used,
-            completed_all,
-            wp_flight,
-            rem_e,
-            rem_t,
+            usage,
             revoked,
-            file_data,
             archive,
             app_state,
         });
@@ -626,36 +578,27 @@ fn run_island(item: PlanWork, panic_flight: Option<usize>) -> Result<IslandVerdi
 ///     .threads(4)
 ///     .faults(plan)
 ///     .attacks(attack_plan)
-///     .admission(AdmissionConfig::batched(64, 4096))
 ///     .vdr_shards(4)
 ///     .run()?;
 /// ```
-///
-/// The legacy free functions ([`execute_fleet`],
-/// [`execute_fleet_attacked`], [`execute_fleet_with_worker_chaos`])
-/// remain as thin deprecated wrappers; a spec with no riders is
-/// byte-identical to them — every pinned chaos/attack/pool digest
-/// holds through either door.
 #[derive(Debug, Clone)]
 pub struct FleetSpec {
     cfg: FleetConfig,
     faults: FleetFaultPlan,
     attacks: FleetAttackPlan,
     panic_flight: Option<usize>,
-    admission: Option<AdmissionConfig>,
     vdr_shards: usize,
 }
 
 impl FleetSpec {
-    /// A spec with no riders: no faults, no attacks, no chaos, the
-    /// legacy admit-everything admission, one VDR shard.
+    /// A spec with no riders: no faults, no attacks, no chaos, one
+    /// VDR shard.
     pub fn new(cfg: FleetConfig) -> Self {
         FleetSpec {
             cfg,
             faults: FleetFaultPlan::empty(),
             attacks: FleetAttackPlan::none(),
             panic_flight: None,
-            admission: None,
             vdr_shards: 1,
         }
     }
@@ -686,15 +629,6 @@ impl FleetSpec {
         self
     }
 
-    /// Batched admission: pending tenants queue in per-tenant FIFO
-    /// lanes and at most `cfg.admit_per_wave` are planned per wave
-    /// (round-robin, starvation-free). `None` (the default) admits
-    /// every pending tenant every wave — the legacy behaviour.
-    pub fn admission(mut self, cfg: AdmissionConfig) -> Self {
-        self.admission = Some(cfg);
-        self
-    }
-
     /// Shards the cloud's Virtual Drone Repository `shards` ways
     /// (deterministic FNV of the drone name). Any shard count is
     /// digest-identical to `1`.
@@ -703,61 +637,19 @@ impl FleetSpec {
         self
     }
 
-    /// The configuration as currently built.
-    pub fn config(&self) -> &FleetConfig {
-        &self.cfg
-    }
-
-    /// Executes the run to quiescence. Reusable: `run` borrows the
-    /// spec, so one spec can drive a whole thread/shard matrix.
+    /// Runs the full order → plan → fly → save/resume → refund
+    /// lifecycle to quiescence. See the module docs for the wave
+    /// structure and determinism contract. Reusable: `run` borrows
+    /// the spec, so one spec can drive a whole thread/shard matrix.
     pub fn run(&self) -> Result<FleetOutcome, DroneError> {
         execute_fleet_inner(
             &self.cfg,
             &self.faults,
             &self.attacks,
             self.panic_flight,
-            self.admission,
             self.vdr_shards,
         )
     }
-}
-
-/// Runs the full order → plan → fly → save/resume → refund lifecycle
-/// for `cfg.tenants` under `faults`. See the module docs for the
-/// wave structure and determinism contract.
-#[deprecated(note = "use FleetSpec::new(cfg).faults(plan).run()")]
-pub fn execute_fleet(
-    cfg: &FleetConfig,
-    faults: &FleetFaultPlan,
-) -> Result<FleetOutcome, DroneError> {
-    execute_fleet_inner(cfg, faults, &FleetAttackPlan::none(), None, None, 1)
-}
-
-/// [`execute_fleet`] with adversarial tenants aboard: each flight in
-/// `attacks` runs its attack plan through an
-/// [`AttackInjector`](crate::attack::AttackInjector) under the plan's
-/// enforcement posture, with an
-/// [`RtMonitor`](crate::attack::RtMonitor) watching the fast loop.
-#[deprecated(note = "use FleetSpec::new(cfg).faults(plan).attacks(attacks).run()")]
-pub fn execute_fleet_attacked(
-    cfg: &FleetConfig,
-    faults: &FleetFaultPlan,
-    attacks: &FleetAttackPlan,
-) -> Result<FleetOutcome, DroneError> {
-    execute_fleet_inner(cfg, faults, attacks, None, None, 1)
-}
-
-/// Test hook: [`execute_fleet`] with a worker panic injected at one
-/// flight index, proving panic containment (the flight scraps, its
-/// tenants defer, the run completes). Not part of the public API.
-#[doc(hidden)]
-#[deprecated(note = "use FleetSpec::new(cfg).faults(plan).chaos_panic_at(i).run()")]
-pub fn execute_fleet_with_worker_chaos(
-    cfg: &FleetConfig,
-    faults: &FleetFaultPlan,
-    panic_flight: Option<usize>,
-) -> Result<FleetOutcome, DroneError> {
-    execute_fleet_inner(cfg, faults, &FleetAttackPlan::none(), panic_flight, None, 1)
 }
 
 fn execute_fleet_inner(
@@ -765,16 +657,11 @@ fn execute_fleet_inner(
     faults: &FleetFaultPlan,
     attacks: &FleetAttackPlan,
     panic_flight: Option<usize>,
-    admission: Option<AdmissionConfig>,
     vdr_shards: usize,
 ) -> Result<FleetOutcome, DroneError> {
     let pool = WorkerPool::new(cfg.threads);
     let mut fleet_metrics = MetricsRegistry::new();
     let mut cloud = FallibleCloud::with_shards(vdr_shards.max(1));
-    // Tenant-name lanes for batched admission; `None` = legacy
-    // admit-everything (no queue state, no new metrics, bit-identical
-    // to the pre-admission executor).
-    let mut admission_queue: Option<AdmissionQueue<()>> = admission.map(AdmissionQueue::new);
     // Cloud-side observability: one attached handle for the whole
     // run, stamped to wave boundaries (1 simulated second per wave)
     // so degraded-mode trace records order by wave.
@@ -824,40 +711,7 @@ fn execute_fleet_inner(
         let mut orders: Vec<PlacedOrder> = Vec::new();
         let mut saved_map: BTreeMap<String, SavedVirtualDrone> = BTreeMap::new();
         let mut refunds: Vec<(String, String, f64)> = Vec::new();
-        // Batched admission gate. Every unresolved tenant whose lane
-        // is empty (re-)enqueues, then the admitter releases this
-        // wave's batch round-robin across lanes. Without an admission
-        // config the candidate list is all unresolved tenants in name
-        // order — exactly the legacy `states` iteration.
-        let candidates: Vec<String> = match admission_queue.as_mut() {
-            None => states
-                .iter()
-                .filter(|(_, s)| s.resolution.is_none())
-                .map(|(n, _)| n.clone())
-                .collect(),
-            Some(queue) => {
-                for (name, st) in states.iter() {
-                    if st.resolution.is_none() && queue.lane_pending(name) == 0 {
-                        match queue.enqueue(name, (), wave) {
-                            Ok(_) => cloud_obs.count("admission.enqueued", 1),
-                            Err((e, ())) => {
-                                cloud_obs.count("admission.backpressure", 1);
-                                cloud.log.push(format!("wave {wave}: {name}: {e}"));
-                            }
-                        }
-                    }
-                }
-                cloud_obs.gauge_max("admission.depth_peak", queue.peak_depth() as f64);
-                let batch: Vec<String> =
-                    queue.admit().into_iter().map(|a| a.lane).collect();
-                cloud_obs.count("admission.admitted", batch.len() as u64);
-                batch
-            }
-        };
-        for name in &candidates {
-            let Some(st) = states.get_mut(name) else {
-                continue;
-            };
+        for (name, st) in states.iter_mut() {
             if st.resolution.is_some() {
                 continue;
             }
@@ -1003,7 +857,7 @@ fn execute_fleet_inner(
                                 plan: plan.clone(),
                                 owners: owners.clone(),
                                 sources: sources.clone(),
-                                seed: flight_seed(cfg.seed, wave, idx),
+                                seed: substream_seed(cfg.seed, wave, idx),
                                 fault_plan: faults.effective_plan(idx),
                                 attack_plan: attacks.effective_plan(idx),
                                 adaptive_plan: attacks.effective_adaptive(idx),
@@ -1105,18 +959,19 @@ fn execute_fleet_inner(
                             let Some(st) = states.get_mut(&post.owner) else {
                                 return Err(DroneError::UnknownVirtualDrone(post.owner.clone()));
                             };
+                            let usage = post.usage;
                             cloud.try_complete_flight(
                                 &st.user,
                                 flight_id,
-                                post.energy_used,
-                                post.file_data,
+                                usage.energy_used_j,
+                                usage.files,
                             );
                             st.flights_flown = post.flights_prior + 1;
-                            st.waypoints_completed = post.wp_prior + post.wp_flight;
-                            st.billed_energy_j += post.energy_used;
-                            st.billed_time_s += post.time_used;
-                            st.remaining_energy_j = post.rem_e;
-                            st.remaining_time_s = post.rem_t;
+                            st.waypoints_completed = post.wp_prior + usage.waypoints_flown;
+                            st.billed_energy_j += usage.energy_used_j;
+                            st.billed_time_s += usage.time_used_s;
+                            st.remaining_energy_j = usage.remaining_energy_j;
+                            st.remaining_time_s = usage.remaining_time_s;
 
                             cloud.inner.vdr.store(SavedVirtualDrone {
                                 name: post.owner.clone(),
@@ -1124,27 +979,27 @@ fn execute_fleet_inner(
                                 spec: st.spec.clone(),
                                 archive: post.archive,
                                 app_state: post.app_state,
-                                reason: if post.completed_all {
+                                reason: if usage.completed_all {
                                     SaveReason::Completed
                                 } else {
                                     SaveReason::Interrupted
                                 },
-                                remaining_energy_j: post.rem_e,
-                                remaining_time_s: post.rem_t,
-                                waypoints_completed: post.wp_prior + post.wp_flight,
+                                remaining_energy_j: usage.remaining_energy_j,
+                                remaining_time_s: usage.remaining_time_s,
+                                waypoints_completed: post.wp_prior + usage.waypoints_flown,
                                 flights_flown: post.flights_prior + 1,
                             });
-                            if post.completed_all {
+                            if usage.completed_all {
                                 st.resolution = Some(TenantResolution::Completed);
                             } else if post.revoked {
                                 // Policy enforcement is terminal: the
                                 // watchdog revoked this drone, so it
                                 // is not rescheduled; its unserved
                                 // remainder is refunded.
-                                st.refunded_energy_j += post.rem_e;
+                                st.refunded_energy_j += usage.remaining_energy_j;
                                 st.resolution = Some(TenantResolution::Refunded);
                                 let user = st.user.clone();
-                                cloud.refund_unserved(&user, &post.owner, post.rem_e);
+                                cloud.refund_unserved(&user, &post.owner, usage.remaining_energy_j);
                             }
                         }
 

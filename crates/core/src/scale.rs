@@ -1,7 +1,7 @@
 //! The scaling-ladder executor: tens of thousands of synthetic
 //! tenants driven through the *real* sharded control plane.
 //!
-//! [`execute_fleet`](crate::fleet::FleetSpec) boots a full onboard
+//! [`FleetSpec::run`](crate::fleet::FleetSpec::run) boots a full onboard
 //! stack (kernel, containers, Binder, SITL) per flight — the right
 //! fidelity for six tenants, hopeless for a hundred thousand. This
 //! executor keeps the control plane real and makes the *flights*

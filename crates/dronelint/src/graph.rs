@@ -25,9 +25,9 @@ use crate::items::{CallRef, FileItems};
 /// Call-graph roots: places where a panic aborts a whole fleet or a
 /// truncation corrupts attacker-controlled bytes.
 pub const ENTRY_POINTS: &[(&str, &str)] = &[
-    ("crates/core/src/fleet.rs", "execute_fleet"),
-    ("crates/core/src/fleet.rs", "execute_fleet_with_worker_chaos"),
+    ("crates/core/src/fleet.rs", "execute_fleet_inner"),
     ("crates/core/src/fleet.rs", "run_island"),
+    ("crates/core/src/scale.rs", "execute_scale_fleet"),
     ("crates/binder/src/driver.rs", "translate_parcel"),
     ("crates/mavlink/src/codec.rs", "decode_frame"),
     ("crates/mavlink/src/message.rs", "decode_payload"),
@@ -227,8 +227,8 @@ impl Workspace {
 
     /// BFS over the call graph from the given `(file, fn)` roots.
     /// Returns every reachable non-test fn (roots included). Missing
-    /// roots are skipped (a renamed entry point shows up as a scope
-    /// collapse the superset pin test catches).
+    /// roots are skipped; the workspace's own roots are pinned to
+    /// resolve by `tests/scope_inference.rs`.
     pub fn reachable(&mut self, roots: &[(&str, &str)]) -> BTreeSet<FnId> {
         let mut seen: BTreeSet<FnId> = BTreeSet::new();
         let mut queue: Vec<FnId> = roots

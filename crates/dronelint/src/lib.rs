@@ -20,7 +20,7 @@
 //! - **R2** `wall-clock-or-entropy`: no `Instant`/`SystemTime`/
 //!   `thread_rng` outside `crates/bench` and `scripts`.
 //! - **R3** `panic-in-hot-path`: no `unwrap()`/`expect()`/`panic!` in
-//!   non-test code reachable from the fleet/island/Binder/MAVLink
+//!   non-test code reachable from the fleet/scale/island/Binder/MAVLink
 //!   entry points (inferred scope).
 //! - **R4** `bare-numeric-cast`: no bare `as` numeric casts in code
 //!   reachable from the MAVLink decoders (use `try_from` or `wire.rs`
@@ -433,7 +433,7 @@ mod tests {
         let sources = vec![
             src_pair(
                 "crates/core/src/fleet.rs",
-                "pub fn execute_fleet() { step(); }\npub fn run_island() {}\nfn step() { androne_flight::tick(); }\n",
+                "pub fn execute_fleet_inner() { step(); }\npub fn run_island() {}\nfn step() { androne_flight::tick(); }\n",
             ),
             src_pair(
                 "crates/flight/src/lib.rs",
@@ -482,7 +482,7 @@ mod tests {
     fn analyze_sources_reports_graph_stats() {
         let sources = vec![src_pair(
             "crates/core/src/fleet.rs",
-            "pub fn execute_fleet() {}\npub fn run_island() {}\npub struct Work;\n",
+            "pub fn execute_fleet_inner() {}\npub fn run_island() {}\npub struct Work;\n",
         )];
         let a = analyze_sources(&sources);
         assert_eq!(a.stats.files_scanned, 1);

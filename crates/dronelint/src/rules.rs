@@ -20,7 +20,7 @@ use crate::scan::Token;
 /// Crates whose state participates in the deterministic simulation.
 /// Iteration order and hashing inside these crates is
 /// experiment-visible — `cloud` and `planner` joined the list once
-/// `execute_fleet`'s ordered merge began replaying cloud effects in
+/// the fleet executor's ordered merge began replaying cloud effects in
 /// plan order, and `workloads` once seed-generated attack plans
 /// started driving the adversarial gate.
 pub const SIM_CRATES: &[&str] = &[

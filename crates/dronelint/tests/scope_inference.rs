@@ -6,6 +6,7 @@
 //! resolution regressed, and this test is the alarm.
 
 use dronelint::analyze_workspace;
+use dronelint::graph::{in_domain, DECODE_ENTRIES, ENTRY_POINTS, ISLAND_ENTRY};
 use dronelint::rules::{LEGACY_R3_FILES, LEGACY_R3_PREFIXES, LEGACY_R4_FILES};
 
 fn root() -> std::path::PathBuf {
@@ -120,5 +121,33 @@ fn island_scope_and_graph_are_nonempty() {
             .island_spans
             .contains_key("crates/core/src/fleet.rs"),
         "run_island's own file must carry island spans"
+    );
+}
+
+/// `Workspace::reachable` skips a root it cannot find, so a renamed
+/// or deleted entry point would silently shrink every scope. Each
+/// declared root must name a non-test fn in a graph-domain file.
+#[test]
+fn every_declared_root_resolves_in_the_workspace() {
+    let roots = ENTRY_POINTS
+        .iter()
+        .chain(std::iter::once(&ISLAND_ENTRY))
+        .chain(DECODE_ENTRIES.iter());
+    let mut unresolved = Vec::new();
+    for &(path, name) in roots {
+        let resolves = in_domain(path)
+            && std::fs::read_to_string(root().join(path)).is_ok_and(|source| {
+                dronelint::items::parse_items(&dronelint::scan::preprocess(&source))
+                    .fns
+                    .iter()
+                    .any(|f| f.name == name && !f.in_test)
+            });
+        if !resolves {
+            unresolved.push(format!("{path}::{name}"));
+        }
+    }
+    assert!(
+        unresolved.is_empty(),
+        "unresolved call-graph roots: {unresolved:#?}"
     );
 }

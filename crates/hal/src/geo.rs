@@ -181,11 +181,6 @@ impl Attitude {
         pitch: 0.0,
         yaw: 0.0,
     };
-
-    /// Largest absolute lean angle (roll or pitch), radians.
-    pub fn max_lean(&self) -> f64 {
-        self.roll.abs().max(self.pitch.abs())
-    }
 }
 
 #[cfg(test)]

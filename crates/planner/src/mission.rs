@@ -1,7 +1,6 @@
 //! Mission plans: a solved route turned into an executable flight.
 
 use androne_hal::GeoPoint;
-use androne_energy::DorlingModel;
 
 use crate::vrp::{VrpProblem, VrpSolution};
 
@@ -88,17 +87,13 @@ impl FlightPlan {
     pub fn fits_battery(&self, budget_j: f64) -> bool {
         self.estimated_energy_j <= budget_j
     }
-
-    /// Hover-equivalent endurance estimate for quoting, s.
-    pub fn endurance_estimate_s(model: &DorlingModel, budget_j: f64) -> f64 {
-        model.hover_endurance_s(budget_j, 0.0)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::vrp::WaypointTask;
+    use androne_energy::DorlingModel;
 
     const DEPOT: GeoPoint = GeoPoint::new(43.6084298, -85.8110359, 0.0);
 

@@ -92,9 +92,8 @@ impl AndroneSdk {
     }
 
     /// `isSuspended()`: whether the QoS escalation ladder currently
-    /// holds this tenant at the `Suspended` rung. Part of the real
-    /// tenant-visible surface — which also makes it the ladder signal
-    /// an adaptive adversary reads as feedback.
+    /// holds this tenant at the `Suspended` rung. Public because it is
+    /// tenant-app API; its callers are apps, not this workspace.
     pub fn is_suspended(&self) -> bool {
         self.vdc
             .borrow()

@@ -159,14 +159,6 @@ impl MemoryLedger {
     pub fn release_owner(&mut self, owner: &MemOwner) -> u64 {
         self.allocated.remove(owner).unwrap_or(0)
     }
-
-    /// Snapshot of per-owner usage, sorted by owner name.
-    pub fn usage_report(&self) -> Vec<(MemOwner, u64)> {
-        self.allocated
-            .iter()
-            .map(|(o, b)| (o.clone(), *b))
-            .collect()
-    }
 }
 
 impl crate::statehash::StateHash for MemoryLedger {

@@ -144,20 +144,6 @@ impl LinkModel {
         }
     }
 
-    /// A wired LAN/Ethernet link (the Gigabit switch used in the
-    /// paper's iperf runs).
-    pub fn ethernet() -> LinkModel {
-        LinkModel {
-            base_ms: 0.2,
-            jitter_mean_ms: 0.05,
-            tail_prob: 0.001,
-            tail_mean_ms: 0.5,
-            max_ms: 5.0,
-            loss_prob: 0.0,
-            burst: None,
-        }
-    }
-
     /// Samples the fate of one packet on a memoryless channel:
     /// `Some(delay)` if delivered, `None` if lost. Any `burst`
     /// parameters are ignored (there is no chain state to advance);

@@ -14,9 +14,9 @@
 //!     completed missions bill, everything else is terminally
 //!     refunded; the escalation ladder (budget → rate-halving →
 //!     suspension → revocation) degrades gracefully, never hangs.
-//! (e) **Zero-work when empty** — `execute_fleet_attacked` with
-//!     [`FleetAttackPlan::none`] is bit-identical to the legacy
-//!     `execute_fleet` path.
+//! (e) **Zero-work when empty** — a `FleetSpec` carrying
+//!     [`FleetAttackPlan::none`] is bit-identical to one with no
+//!     attack rider.
 //!
 //! Breadth is controlled by `ATTACK_SEEDS` (default 4; the release
 //! gate in `scripts/attack.sh` runs the same count) and the thread
@@ -376,9 +376,9 @@ fn escalation_ladder_walks_to_revocation_and_still_resolves() {
     assert_terminal_outcomes(&run, "ladder");
 }
 
-/// Invariant (e): the attacked executor with no attack plan is
-/// bit-identical to the legacy path — empty plans are provably
-/// zero-work, so every pre-existing pinned digest stands.
+/// Invariant (e): a run with an empty attack plan is bit-identical
+/// to one with no attack rider — empty plans are provably zero-work,
+/// so every pre-existing pinned digest stands.
 #[test]
 fn empty_attack_plan_is_zero_work() {
     let cfg = gate_config(0xF1EE_5EED, 3);

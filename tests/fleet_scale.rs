@@ -6,12 +6,11 @@
 //!   identical digests and stats, and a portal/VDR outage armed
 //!   mid-checkout loses no customer drone.
 //! - **Admission FIFO** — a model-based property test: under
-//!   arbitrary interleavings of enqueue (with backpressure),
-//!   batched admission, and `requeue_front`, every lane releases its
-//!   orders in exact submission order.
-//! - **Wrapper equivalence** — the deprecated `execute_fleet_attacked`
-//!   door is byte-identical to `FleetSpec::attacks`, and a
-//!   `vdr_shards(4)` fleet run is byte-identical to the 1-shard run.
+//!   arbitrary interleavings of enqueue (with backpressure) and
+//!   batched admission, every lane releases its orders in exact
+//!   submission order.
+//! - **Shard invariance** — a `vdr_shards(4)` fleet run is
+//!   byte-identical to the 1-shard run.
 //! - **Scaling ladder** — a small spill-heavy config and the 10k
 //!   rung reproduce pinned digests, the executor's outcome invariants
 //!   hold at threads 1/4 × shards 1/4, and the 10k rung's digests are
@@ -27,15 +26,10 @@ use androne::cloud::{
 };
 use androne::container::{ContainerArchive, ContainerKind, Layer};
 use androne::fleet::{FleetConfig, FleetSpec, FleetTenant};
-#[allow(deprecated)]
-use androne::fleet::execute_fleet_attacked;
 use androne::hal::GeoPoint;
 use androne::simkern::{CloudFaultKind, FleetFaultPlan};
 use androne::vdc::{VirtualDroneSpec, WaypointSpec};
-use androne::workloads::AttackPlan;
-use androne::{
-    execute_scale_fleet, AttackDefense, FleetAttackPlan, ScaleConfig, ScaleOutcome, ScaleResolution,
-};
+use androne::{execute_scale_fleet, ScaleConfig, ScaleOutcome, ScaleResolution};
 use proptest::prelude::*;
 
 const BASE: GeoPoint = GeoPoint::new(43.6084298, -85.8110359, 0.0);
@@ -208,14 +202,14 @@ fn vdr_outage_mid_checkout_loses_nothing() {
     assert_eq!(stats.entries, 7, "committed resume consumes its entry");
 }
 
-// Property: under any interleaving of bounded enqueues, batched
-// admission waves, and front-requeues, each lane's orders are
-// released in exact submission order; a backpressured enqueue hands
-// the item back untouched with a retry wave strictly ahead.
+// Property: under any interleaving of bounded enqueues and batched
+// admission waves, each lane's orders are released in exact
+// submission order; a backpressured enqueue hands the item back
+// untouched with a retry wave strictly ahead.
 proptest! {
     #[test]
-    fn admission_fifo_survives_backpressure_and_requeue(
-        ops in proptest::collection::vec((0u8..6, 0u8..5), 1..160),
+    fn admission_fifo_survives_backpressure(
+        ops in proptest::collection::vec((0u8..5, 0u8..5), 1..160),
         per_wave in 1usize..5,
         cap in 4usize..24,
     ) {
@@ -239,35 +233,13 @@ proptest! {
                         }
                     }
                 }
-                4 => {
+                _ => {
                     wave += 1;
                     let admitted = q.admit();
                     prop_assert!(admitted.len() <= per_wave, "quota exceeded");
                     for a in admitted {
                         let front = model.get_mut(&a.lane).and_then(|l| l.pop_front());
                         prop_assert_eq!(front, Some(a.item), "lane admitted out of order");
-                    }
-                }
-                _ => {
-                    // Admit a wave but spill the first released order
-                    // back to the front of its lane (the bin-packer's
-                    // overflow path) — its FIFO position must hold.
-                    wave += 1;
-                    let mut admitted = q.admit();
-                    if !admitted.is_empty() {
-                        for a in &admitted {
-                            let front = model.get_mut(&a.lane).and_then(|l| l.pop_front());
-                            prop_assert_eq!(front, Some(a.item), "lane admitted out of order");
-                        }
-                        // Spill the first released order back: it
-                        // returns to the *front* of its lane, ahead of
-                        // anything still queued there.
-                        let spilled = admitted.remove(0);
-                        model
-                            .entry(spilled.lane.clone())
-                            .or_default()
-                            .push_front(spilled.item);
-                        q.requeue_front(spilled);
                     }
                 }
             }
@@ -305,33 +277,6 @@ fn gate_config(seed: u64, n_tenants: usize, threads: usize) -> FleetConfig {
         watchdog: None,
         threads,
     }
-}
-
-/// The deprecated attacked door is byte-identical to
-/// `FleetSpec::attacks` on a generated adversarial plan.
-#[test]
-#[allow(deprecated)]
-fn attacked_wrapper_is_byte_identical_to_the_spec() {
-    let seed = 0xA77A_C4ED;
-    let cfg = gate_config(seed, 3, 2);
-    let tenant_names: Vec<String> = cfg.tenants.iter().map(|t| t.vd_name.clone()).collect();
-    let mut flights = BTreeMap::new();
-    flights.insert(0usize, AttackPlan::generate(seed, 120, &tenant_names));
-    let attacks = FleetAttackPlan {
-        flights,
-        defense: Some(AttackDefense::default()),
-        ..FleetAttackPlan::none()
-    };
-    let faults = FleetFaultPlan::generate(seed, 2, &tenant_names, 150);
-
-    let legacy = execute_fleet_attacked(&cfg, &faults, &attacks).expect("legacy door");
-    let spec = FleetSpec::new(cfg)
-        .faults(faults)
-        .attacks(attacks)
-        .run()
-        .expect("spec door");
-    assert_eq!(legacy.fleet_digest(), spec.fleet_digest());
-    assert_eq!(legacy.metrics_digest(), spec.metrics_digest());
 }
 
 /// Sharding the fleet executor's VDR is invisible in the bits: a
