@@ -509,9 +509,9 @@ impl Drone {
             })
             .collect();
         FlightUsage {
-            energy_used_j: rec.spec.energy_allotted - rec.energy_remaining_j(),
-            time_used_s: rec.spec.max_duration - rec.time_remaining_s(),
-            completed_all: rec.waypoints_completed() >= rec.spec.waypoints.len(),
+            energy_used_j: rec.spec().energy_allotted - rec.energy_remaining_j(),
+            time_used_s: rec.spec().max_duration - rec.time_remaining_s(),
+            completed_all: rec.waypoints_completed() >= rec.spec().waypoints.len(),
             waypoints_flown: rec.waypoints_completed(),
             remaining_energy_j: rec.energy_remaining_j(),
             remaining_time_s: rec.time_remaining_s(),

@@ -114,35 +114,39 @@ pub type AbortCheck<'a> = Box<dyn FnMut(f64) -> bool + 'a>;
 /// second).
 const STEP_NS: u64 = 2_500_000;
 
-/// Stable tag + detail + counter name for one flight-log entry, used
-/// when mirroring it onto the trace bus.
-fn event_trace_parts(event: &FlightLog) -> (&'static str, String, &'static str) {
+/// Stable tag + counter name for one flight-log entry, used when
+/// mirroring it onto the trace bus.
+fn event_trace_parts(event: &FlightLog) -> (&'static str, &'static str) {
     match event {
-        FlightLog::Launched => ("launched", String::new(), "flight.launched"),
+        FlightLog::Launched => ("launched", "flight.launched"),
+        FlightLog::WaypointHandover { .. } => ("handover", "flight.handovers"),
+        FlightLog::WaypointEnd { .. } => ("waypoint-end", "flight.waypoint_ends"),
+        FlightLog::GeofenceBreach { .. } => ("geofence-breach", "flight.breaches"),
+        FlightLog::Aborted => ("aborted", "flight.aborts"),
+        FlightLog::Landed => ("landed", "flight.landings"),
+    }
+}
+
+/// The trace record's detail text for one flight-log entry. Built
+/// only inside the emit closure, so a detached handle never formats.
+fn event_trace_detail(event: &FlightLog) -> String {
+    match event {
         FlightLog::WaypointHandover {
             owner,
             waypoint,
             flight_control,
-        } => (
-            "handover",
-            format!("{owner} wp{waypoint} vfc={flight_control}"),
-            "flight.handovers",
-        ),
+        } => format!("{owner} wp{waypoint} vfc={flight_control}"),
         FlightLog::WaypointEnd {
             owner,
             waypoint,
             reason,
             enforced_kills,
-        } => (
-            "waypoint-end",
-            format!("{owner} wp{waypoint} {} kills={enforced_kills}", reason.name()),
-            "flight.waypoint_ends",
+        } => format!(
+            "{owner} wp{waypoint} {} kills={enforced_kills}",
+            reason.name()
         ),
-        FlightLog::GeofenceBreach { owner } => {
-            ("geofence-breach", owner.clone(), "flight.breaches")
-        }
-        FlightLog::Aborted => ("aborted", String::new(), "flight.aborts"),
-        FlightLog::Landed => ("landed", String::new(), "flight.landings"),
+        FlightLog::GeofenceBreach { owner } => owner.clone(),
+        FlightLog::Launched | FlightLog::Aborted | FlightLog::Landed => String::new(),
     }
 }
 
@@ -156,10 +160,10 @@ fn push_event(
     drone: &mut Drone,
     event: FlightLog,
 ) {
-    let (phase, detail, counter) = event_trace_parts(&event);
+    let (phase, counter) = event_trace_parts(&event);
     drone.obs.emit(Subsystem::Flight, || TraceEvent::FlightPhase {
         phase,
-        detail,
+        detail: event_trace_detail(&event),
     });
     drone.obs.count(counter, 1);
     probe.on_event(tick, &event, drone);

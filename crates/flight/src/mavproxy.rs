@@ -546,18 +546,22 @@ impl MavProxy {
     /// sanitizer's verbose dump: a divergence in one client's outbox
     /// names that client instead of the whole proxy.
     pub fn client_hashes(&self) -> Vec<(String, u64)> {
+        let mut payload = Vec::new();
         self.clients
             .iter()
             .map(|(name, conn)| {
                 let mut h = StateHasher::new();
-                hash_conn(conn, &mut h);
+                hash_conn(conn, &mut h, &mut payload);
                 (name.clone(), h.finish())
             })
             .collect()
     }
 }
 
-fn hash_conn(conn: &ClientConn, h: &mut StateHasher) {
+/// Folds one client's state into `h`. `payload` is scratch space for
+/// the outbox encodings, reused across messages (and across clients
+/// by the caller) so hashing allocates nothing once it has grown.
+fn hash_conn(conn: &ClientConn, h: &mut StateHasher, payload: &mut Vec<u8>) {
     match &conn.vfc {
         Some(vfc) => {
             h.write_u8(1);
@@ -570,7 +574,9 @@ fn hash_conn(conn: &ClientConn, h: &mut StateHasher) {
     h.write_usize(conn.outbox.len());
     for msg in &conn.outbox {
         h.write_u8(msg.msg_id());
-        h.write_bytes(&msg.encode_payload());
+        payload.clear();
+        msg.encode_payload_into(payload);
+        h.write_bytes(payload);
     }
     h.write_u64(conn.forwarded);
     h.write_u64(conn.denied);
@@ -579,9 +585,10 @@ fn hash_conn(conn: &ClientConn, h: &mut StateHasher) {
 impl StateHash for MavProxy {
     fn state_hash(&self, h: &mut StateHasher) {
         h.write_usize(self.clients.len());
+        let mut payload = Vec::new();
         for (name, conn) in &self.clients {
             h.write_str(name);
-            hash_conn(conn, h);
+            hash_conn(conn, h, &mut payload);
         }
         match &self.recovery {
             Some(r) => {
@@ -947,5 +954,56 @@ mod tests {
         );
         run(&mut proxy, &mut sitl, 30.0);
         assert!(sitl.position().distance_m(&next) < 4.0);
+    }
+
+    /// Recorded before outbox hashing reused a scratch buffer: the
+    /// digest of a proxy whose three client kinds (unrestricted,
+    /// identity-view VFC, rewriting VFC) all hold queued messages must
+    /// not move.
+    #[test]
+    fn outbox_digest_is_pinned_across_client_kinds() {
+        let mut sitl = flying_sitl(6);
+        let mut proxy = MavProxy::new();
+        let here = sitl.position();
+        proxy.add_unrestricted_client("planner");
+        proxy.add_vfc_client(Vfc::new(
+            "vd-active",
+            CommandWhitelist::standard(),
+            Geofence::new(here, 40.0),
+            false,
+        ));
+        proxy.activate_vfc("vd-active");
+        proxy.add_vfc_client(Vfc::new(
+            "vd-pending",
+            CommandWhitelist::standard(),
+            Geofence::new(here.offset_m(500.0, 0.0, 15.0), 30.0),
+            false,
+        ));
+        proxy.client_send(
+            "planner",
+            Message::SetMode {
+                mode: FlightMode::Guided,
+            },
+            &mut sitl,
+        );
+        proxy.client_send(
+            "vd-pending",
+            Message::CommandLong {
+                command: MavCmd::NavTakeoff,
+                params: [0.0; 7],
+            },
+            &mut sitl,
+        );
+        run(&mut proxy, &mut sitl, 1.5);
+        let hashes = proxy.client_hashes();
+        assert_eq!(
+            hashes,
+            vec![
+                ("planner".to_string(), 10_445_398_503_318_984_658),
+                ("vd-active".to_string(), 265_572_288_205_865_575),
+                ("vd-pending".to_string(), 7_282_404_379_239_489_479),
+            ]
+        );
+        assert_eq!(proxy.hash_value(), 15_935_280_169_568_775_016);
     }
 }

@@ -338,6 +338,14 @@ impl Message {
     /// Serializes the payload (little-endian, declaration order).
     pub fn encode_payload(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_payload_into(&mut out);
+        out
+    }
+
+    /// Appends the payload [`Message::encode_payload`] returns to
+    /// `out`, so a caller encoding many messages can reuse one
+    /// buffer.
+    pub fn encode_payload_into(&self, out: &mut Vec<u8>) {
         match self {
             Message::Heartbeat {
                 mode,
@@ -424,7 +432,6 @@ impl Message {
                 out.extend(&bytes[..n]);
             }
         }
-        out
     }
 
     /// Deserializes a payload for `msg_id`.
@@ -674,5 +681,109 @@ mod tests {
         assert!(MavCmd::from_id(9_999).is_err());
         assert!(FlightMode::from_custom_mode(42).is_err());
         assert!(Message::crc_extra(200).is_err());
+    }
+
+    /// One message of every variant, including a `StatusText` long
+    /// enough to be truncated on the wire.
+    fn every_variant() -> Vec<Message> {
+        vec![
+            Message::Heartbeat {
+                mode: FlightMode::Guided,
+                armed: true,
+                system_status: 4,
+            },
+            Message::SysStatus {
+                voltage_mv: 12_400,
+                current_ca: -2_150,
+                battery_remaining: -1,
+            },
+            Message::SetMode {
+                mode: FlightMode::Loiter,
+            },
+            Message::Attitude {
+                time_boot_ms: 123_456,
+                roll: 0.1,
+                pitch: -0.05,
+                yaw: 1.2,
+            },
+            Message::GlobalPositionInt {
+                time_boot_ms: 99,
+                lat: deg_to_e7(43.6084298),
+                lon: deg_to_e7(-85.8110359),
+                relative_alt: 15_000,
+                vx: 120,
+                vy: -80,
+                vz: 0,
+            },
+            Message::MissionCount { count: 3 },
+            Message::MissionAck { result: 0 },
+            Message::MissionRequestInt { seq: 1 },
+            Message::MissionItemInt {
+                seq: 2,
+                lat: deg_to_e7(43.6),
+                lon: deg_to_e7(-85.8),
+                alt: 20.0,
+            },
+            Message::CommandLong {
+                command: MavCmd::NavTakeoff,
+                params: [0.0, -1.5, 0.0, 0.0, 0.0, 0.0, 15.0],
+            },
+            Message::CommandAck {
+                command: MavCmd::NavTakeoff,
+                result: MavResult::Denied,
+            },
+            Message::SetPositionTargetGlobalInt {
+                lat: deg_to_e7(43.6),
+                lon: deg_to_e7(-85.8),
+                alt: 20.0,
+                speed: 5.0,
+            },
+            Message::StatusText {
+                severity: 2,
+                text: "geofence breach".into(),
+            },
+            Message::StatusText {
+                severity: 6,
+                text: "y".repeat(80),
+            },
+        ]
+    }
+
+    #[test]
+    fn encode_payload_into_appends_exactly_the_payload() {
+        let prefix = [0xAA, 0x55];
+        let mut buf = Vec::new();
+        for msg in every_variant() {
+            buf.clear();
+            buf.extend(prefix);
+            msg.encode_payload_into(&mut buf);
+            assert_eq!(buf[..2], prefix, "{msg:?} touched the prefix");
+            assert_eq!(buf[2..], msg.encode_payload()[..], "{msg:?}");
+        }
+        let truncated = Message::StatusText {
+            severity: 6,
+            text: "y".repeat(80),
+        };
+        buf.clear();
+        truncated.encode_payload_into(&mut buf);
+        assert_eq!(buf.len(), 2 + 50);
+    }
+
+    /// Recorded before `encode_payload` delegated to an appending
+    /// encoder: the wire form of every variant must not move.
+    #[test]
+    fn payload_bytes_are_pinned() {
+        let mut all = Vec::new();
+        for msg in every_variant() {
+            all.push(msg.msg_id());
+            all.extend(msg.encode_payload());
+        }
+        // FNV-1a over the concatenated id + payload stream.
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for &b in &all {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        assert_eq!((all.len(), h), (204, 1_700_318_743_660_089_054));
     }
 }

@@ -132,8 +132,10 @@ impl RouteConstraints {
         }
         if self.capacity_active() {
             let cap = self.max_parties_per_route.unwrap_or(usize::MAX).max(1);
+            let index = PartyIndex::new(&self.parties);
+            let mut hosted = Vec::new();
             for (r, route) in sol.routes.iter().enumerate() {
-                let hosted = self.parties_on(route);
+                index.hosted(route, &mut hosted);
                 if hosted.len() > cap {
                     return Err(ConstraintViolation::RouteOverCapacity {
                         route: r,
@@ -145,17 +147,6 @@ impl RouteConstraints {
         Ok(())
     }
 
-    /// Distinct party indices with at least one stop on `route`, in
-    /// ascending party order.
-    fn parties_on(&self, route: &Route) -> Vec<usize> {
-        self.parties
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| route.stops.iter().any(|s| p.contains(s)))
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Repairs a solution in place so every constraint holds.
     ///
     /// Groups are gathered first (all members moved to the route and
@@ -165,6 +156,12 @@ impl RouteConstraints {
     /// terminates because each step strictly reduces a violation
     /// count bounded by the constraint list.
     pub fn repair(&self, sol: &mut VrpSolution) {
+        self.repair_with(sol, &PartyIndex::new(&self.parties));
+    }
+
+    /// [`RouteConstraints::repair`] with the party lookup built once
+    /// by the caller: the annealer repairs every candidate it prices.
+    pub(crate) fn repair_with(&self, sol: &mut VrpSolution, index: &PartyIndex) {
         // Gather groups contiguously.
         for group in &self.groups {
             if group.len() < 2 {
@@ -276,41 +273,41 @@ impl RouteConstraints {
         // cross-party ordering does not compose with capacity.
         if self.capacity_active() {
             let cap = self.max_parties_per_route.unwrap_or(usize::MAX).max(1);
-            while let Some((r, hosted)) = sol
-                .routes
-                .iter()
-                .map(|route| self.parties_on(route))
-                .enumerate()
-                .find(|(_, hosted)| hosted.len() > cap)
-            {
-                // Victim: the hosted party with the fewest stops on
-                // this route (ties to the lowest party index).
-                let stops_of = |party: usize, route: &Route| -> Vec<usize> {
-                    route
-                        .stops
-                        .iter()
-                        .copied()
-                        .filter(|s| self.parties[party].contains(s))
-                        .collect()
-                };
+            // Scratch for each route's hosted parties, refilled per
+            // route instead of allocated.
+            let mut hosted = Vec::new();
+            while let Some(r) = (0..sol.routes.len()).find(|&r| {
+                index.hosted(&sol.routes[r], &mut hosted);
+                hosted.len() > cap
+            }) {
+                // `hosted` holds route `r`'s parties. Victim: the
+                // hosted party with the fewest stops on this route
+                // (ties to the lowest party index).
+                let route = &sol.routes[r];
                 let victim = hosted
                     .iter()
                     .copied()
-                    .min_by_key(|&p| stops_of(p, &sol.routes[r]).len())
+                    .min_by_key(|&p| route.stops.iter().filter(|&&s| index.lists(s, p)).count())
                     .unwrap_or(hosted[0]);
+                let moved: Vec<usize> = route
+                    .stops
+                    .iter()
+                    .copied()
+                    .filter(|&s| index.lists(s, victim))
+                    .collect();
                 // Destination: a route already hosting the victim,
                 // else the fullest route still under the cap, else a
                 // fresh route.
-                let dest = sol
-                    .routes
-                    .iter()
-                    .enumerate()
-                    .filter(|&(d, _)| d != r)
-                    .map(|(d, route)| (d, self.parties_on(route)))
-                    .filter(|(_, h)| h.contains(&victim) || h.len() < cap)
-                    .max_by_key(|(d, h)| (h.contains(&victim), h.len(), usize::MAX - d))
+                let dest = (0..sol.routes.len())
+                    .filter(|&d| d != r)
+                    .filter_map(|d| {
+                        index.hosted(&sol.routes[d], &mut hosted);
+                        let has_victim = hosted.contains(&victim);
+                        (has_victim || hosted.len() < cap)
+                            .then_some((d, (has_victim, hosted.len(), usize::MAX - d)))
+                    })
+                    .max_by_key(|&(_, key)| key)
                     .map(|(d, _)| d);
-                let moved = stops_of(victim, &sol.routes[r]);
                 sol.routes[r].stops.retain(|s| !moved.contains(s));
                 match dest {
                     Some(d) => sol.routes[d].stops.extend(moved),
@@ -387,6 +384,49 @@ impl std::fmt::Display for ConstraintViolation {
 }
 
 impl std::error::Error for ConstraintViolation {}
+
+/// Task → party lookup for the capacity cap, so finding a route's
+/// parties costs one lookup per stop instead of a scan of every
+/// party's task list.
+pub(crate) struct PartyIndex {
+    /// `of_task[t]`: the parties listing task `t`, ascending.
+    of_task: Vec<Vec<usize>>,
+}
+
+impl PartyIndex {
+    pub(crate) fn new(parties: &[Vec<usize>]) -> Self {
+        let mut of_task: Vec<Vec<usize>> = Vec::new();
+        for (party, tasks) in parties.iter().enumerate() {
+            for &t in tasks {
+                if of_task.len() <= t {
+                    of_task.resize_with(t + 1, Vec::new);
+                }
+                if of_task[t].last() != Some(&party) {
+                    of_task[t].push(party);
+                }
+            }
+        }
+        PartyIndex { of_task }
+    }
+
+    /// Whether `party` lists task `task`.
+    fn lists(&self, task: usize, party: usize) -> bool {
+        self.of_task.get(task).is_some_and(|ps| ps.contains(&party))
+    }
+
+    /// Refills `out` with the distinct parties that have at least one
+    /// stop on `route`, ascending.
+    fn hosted(&self, route: &Route, out: &mut Vec<usize>) {
+        out.clear();
+        for &s in &route.stops {
+            if let Some(ps) = self.of_task.get(s) {
+                out.extend(ps);
+            }
+        }
+        out.sort_unstable();
+        out.dedup();
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -507,6 +547,93 @@ mod tests {
         c.check(&s).unwrap();
         let all: usize = s.routes.iter().map(|r| r.stops.len()).sum();
         assert_eq!(all, 5, "no task lost");
+    }
+
+    /// The capacity pass as first written, scanning every party's
+    /// task list per route. Kept as the reference the indexed pass
+    /// must match move for move.
+    fn reference_capacity_repair(c: &RouteConstraints, sol: &mut VrpSolution) {
+        let cap = c.max_parties_per_route.unwrap_or(usize::MAX).max(1);
+        let parties_on = |route: &Route| -> Vec<usize> {
+            c.parties
+                .iter()
+                .enumerate()
+                .filter(|(_, p)| route.stops.iter().any(|s| p.contains(s)))
+                .map(|(i, _)| i)
+                .collect()
+        };
+        while let Some((r, hosted)) = sol
+            .routes
+            .iter()
+            .map(parties_on)
+            .enumerate()
+            .find(|(_, hosted)| hosted.len() > cap)
+        {
+            let stops_of = |party: usize, route: &Route| -> Vec<usize> {
+                route
+                    .stops
+                    .iter()
+                    .copied()
+                    .filter(|s| c.parties[party].contains(s))
+                    .collect()
+            };
+            let victim = hosted
+                .iter()
+                .copied()
+                .min_by_key(|&p| stops_of(p, &sol.routes[r]).len())
+                .unwrap_or(hosted[0]);
+            let dest = sol
+                .routes
+                .iter()
+                .enumerate()
+                .filter(|&(d, _)| d != r)
+                .map(|(d, route)| (d, parties_on(route)))
+                .filter(|(_, h)| h.contains(&victim) || h.len() < cap)
+                .max_by_key(|(d, h)| (h.contains(&victim), h.len(), usize::MAX - d))
+                .map(|(d, _)| d);
+            let moved = stops_of(victim, &sol.routes[r]);
+            sol.routes[r].stops.retain(|s| !moved.contains(s));
+            match dest {
+                Some(d) => sol.routes[d].stops.extend(moved),
+                None => sol.routes.push(Route { stops: moved }),
+            }
+        }
+        sol.routes.retain(|r| !r.stops.is_empty());
+    }
+
+    #[test]
+    fn indexed_capacity_repair_matches_the_party_scan() {
+        use rand::Rng;
+        let mut rng = androne_simkern::stream_rng(0xCA9);
+        let mut evictions = 0;
+        for case in 0..400 {
+            let n = rng.gen_range(1..30);
+            // Consecutive runs of 1-3 tasks form the parties.
+            let mut parties = Vec::new();
+            let mut next = 0;
+            while next < n {
+                let len = rng.gen_range(1..4usize).min(n - next);
+                parties.push((next..next + len).collect::<Vec<usize>>());
+                next += len;
+            }
+            let cap = rng.gen_range(1..4);
+            let c = RouteConstraints::none().with_party_capacity(parties, cap);
+            let mut routes = vec![Route { stops: Vec::new() }; rng.gen_range(1..6)];
+            for task in 0..n {
+                let r = rng.gen_range(0..routes.len());
+                let at = rng.gen_range(0..=routes[r].stops.len());
+                routes[r].stops.insert(at, task);
+            }
+            let mut indexed = VrpSolution { routes };
+            let mut reference = indexed.clone();
+            if c.check(&indexed).is_err() {
+                evictions += 1;
+            }
+            c.repair(&mut indexed);
+            reference_capacity_repair(&c, &mut reference);
+            assert_eq!(indexed, reference, "case {case}");
+        }
+        assert!(evictions > 200, "only {evictions} cases needed a repair");
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //! drone's set, and cannot honor user-prescribed orderings. The paper
 //! calls this out as a limitation, and tests here pin the behaviour.
 
+use crate::constraints::PartyIndex;
 use androne_hal::GeoPoint;
 use androne_energy::DorlingModel;
 use rand::rngs::SmallRng;
@@ -49,17 +50,43 @@ pub struct VrpProblem {
 }
 
 /// One drone's route: task indices in visit order.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Route {
     /// Indices into [`VrpProblem::tasks`].
     pub stops: Vec<usize>,
 }
 
+// Written out so `clone_from` reuses the stop buffer; the annealer
+// refills its candidate with it every iteration.
+impl Clone for Route {
+    fn clone(&self) -> Self {
+        Route {
+            stops: self.stops.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.stops.clone_from(&source.stops);
+    }
+}
+
 /// A solution: one route per drone used.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct VrpSolution {
     /// Routes (at most `fleet_size`).
     pub routes: Vec<Route>,
+}
+
+impl Clone for VrpSolution {
+    fn clone(&self) -> Self {
+        VrpSolution {
+            routes: self.routes.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.routes.clone_from(&source.routes);
+    }
 }
 
 /// Why a solution is invalid.
@@ -73,47 +100,95 @@ pub enum VrpError {
     FleetViolation,
 }
 
+/// A leg's `(time_s, energy_j)` between two route nodes: node `0` is
+/// the depot and node `i + 1` is task `i`.
+type Leg = (f64, f64);
+
+/// Every directed leg of a problem, priced once. The annealer prices
+/// each candidate with table lookups instead of re-deriving haversine
+/// distances and leg costs over the same fixed positions. The entries
+/// are the values [`VrpProblem::leg`] returns, so table-priced costs
+/// equal [`VrpProblem::cost`] bit for bit.
+struct LegTable {
+    nodes: usize,
+    legs: Vec<Leg>,
+}
+
+impl LegTable {
+    fn new(problem: &VrpProblem) -> Self {
+        let nodes = problem.tasks.len() + 1;
+        let legs = (0..nodes)
+            .flat_map(|a| (0..nodes).map(move |b| problem.leg(a, b)))
+            .collect();
+        LegTable { nodes, legs }
+    }
+
+    fn leg(&self, from: usize, to: usize) -> Leg {
+        self.legs[from * self.nodes + to]
+    }
+}
+
 impl VrpProblem {
+    fn node(&self, n: usize) -> &GeoPoint {
+        match n.checked_sub(1) {
+            Some(task) => &self.tasks[task].position,
+            None => &self.depot,
+        }
+    }
+
+    /// Prices the leg from node `from` to node `to` (node `0` is the
+    /// depot, node `i + 1` is task `i`).
+    fn leg(&self, from: usize, to: usize) -> Leg {
+        let d = self.node(from).distance_m(self.node(to));
+        (self.model.leg_time_s(d), self.model.leg_energy_j(d, 0.0))
+    }
+
+    /// A route's `(time_s, energy_j)`: depot → stops → depot travel
+    /// plus each stop's service time and energy, with legs priced by
+    /// `leg`.
+    fn route_totals(&self, route: &Route, leg: &impl Fn(usize, usize) -> Leg) -> (f64, f64) {
+        let mut time = 0.0;
+        let mut energy = 0.0;
+        let mut here = 0;
+        for &i in &route.stops {
+            let t = &self.tasks[i];
+            let (leg_t, leg_e) = leg(here, i + 1);
+            time += leg_t;
+            time += t.service_time_s;
+            energy += leg_e;
+            energy += t.service_energy_j;
+            here = i + 1;
+        }
+        let (leg_t, leg_e) = leg(here, 0);
+        (time + leg_t, energy + leg_e)
+    }
+
     /// Total energy of a route: depot → stops → depot travel plus
     /// the service energy at each stop.
     pub fn route_energy_j(&self, route: &Route) -> f64 {
-        let mut energy = 0.0;
-        let mut here = self.depot;
-        for &i in &route.stops {
-            let t = &self.tasks[i];
-            energy += self.model.leg_energy_j(here.distance_m(&t.position), 0.0);
-            energy += t.service_energy_j;
-            here = t.position;
-        }
-        energy += self.model.leg_energy_j(here.distance_m(&self.depot), 0.0);
-        energy
+        self.route_totals(route, &|a, b| self.leg(a, b)).1
     }
 
     /// Total time of a route: travel plus service times.
     pub fn route_time_s(&self, route: &Route) -> f64 {
-        let mut time = 0.0;
-        let mut here = self.depot;
-        for &i in &route.stops {
-            let t = &self.tasks[i];
-            time += self.model.leg_time_s(here.distance_m(&t.position));
-            time += t.service_time_s;
-            here = t.position;
-        }
-        time += self.model.leg_time_s(here.distance_m(&self.depot));
-        time
+        self.route_totals(route, &|a, b| self.leg(a, b)).0
     }
 
     /// Solution cost: makespan, plus a small total-time tiebreak,
     /// plus heavy penalties for battery violations.
     pub fn cost(&self, sol: &VrpSolution) -> f64 {
+        self.priced_cost(sol, &|a, b| self.leg(a, b))
+    }
+
+    /// [`VrpProblem::cost`] with legs priced by `leg`.
+    fn priced_cost(&self, sol: &VrpSolution, leg: &impl Fn(usize, usize) -> Leg) -> f64 {
         let mut makespan = 0.0f64;
         let mut total = 0.0;
         let mut penalty = 0.0;
         for route in &sol.routes {
-            let t = self.route_time_s(route);
+            let (t, e) = self.route_totals(route, leg);
             makespan = makespan.max(t);
             total += t;
-            let e = self.route_energy_j(route);
             if e > self.battery_budget_j {
                 penalty += 10_000.0 + (e - self.battery_budget_j);
             }
@@ -210,43 +285,50 @@ impl VrpProblem {
         constraints: &crate::constraints::RouteConstraints,
     ) -> VrpSolution {
         let mut rng = androne_simkern::stream_rng(seed);
+        let parties = PartyIndex::new(&constraints.parties);
         let mut current = self.greedy();
         if !constraints.is_empty() {
-            constraints.repair(&mut current);
+            constraints.repair_with(&mut current, &parties);
         }
         // Ensure every allowed route exists so moves can use them.
         while current.routes.len() < self.fleet_size {
             current.routes.push(Route { stops: Vec::new() });
         }
-        let mut best = current.clone();
-        let mut cur_cost = self.cost(&current);
-        let mut best_cost = cur_cost;
         if self.tasks.is_empty() {
             return VrpSolution { routes: Vec::new() };
         }
+        let table = LegTable::new(self);
+        let cost = |sol: &VrpSolution| self.priced_cost(sol, &|a, b| table.leg(a, b));
+        let mut best = current.clone();
+        let mut cur_cost = cost(&current);
+        let mut best_cost = cur_cost;
         let t0 = (cur_cost * 0.2).max(1.0);
+        // Reused across iterations: `clone_from` refills its routes in
+        // place, and an accepted candidate swaps buffers with
+        // `current` instead of being dropped.
+        let mut cand = current.clone();
         for iter in 0..iterations {
             let temp = t0 * (1.0 - iter as f64 / iterations as f64).max(1e-3);
-            let mut cand = current.clone();
+            cand.clone_from(&current);
             match rng.gen_range(0..3) {
                 0 => relocate(&mut cand, &mut rng),
                 1 => swap(&mut cand, &mut rng),
                 _ => two_opt(&mut cand, &mut rng),
             }
             if !constraints.is_empty() {
-                constraints.repair(&mut cand);
+                constraints.repair_with(&mut cand, &parties);
                 while cand.routes.len() < self.fleet_size {
                     cand.routes.push(Route { stops: Vec::new() });
                 }
             }
-            let cand_cost = self.cost(&cand);
+            let cand_cost = cost(&cand);
             let accept = cand_cost < cur_cost
                 || rng.gen::<f64>() < ((cur_cost - cand_cost) / temp).exp();
             if accept {
-                current = cand;
+                std::mem::swap(&mut current, &mut cand);
                 cur_cost = cand_cost;
                 if cur_cost < best_cost {
-                    best = current.clone();
+                    best.clone_from(&current);
                     best_cost = cur_cost;
                 }
             }
@@ -256,19 +338,20 @@ impl VrpProblem {
     }
 }
 
+/// A uniformly drawn non-empty route: one draw over the non-empty
+/// count, then the k-th non-empty route by index.
 fn nonempty_route(sol: &VrpSolution, rng: &mut SmallRng) -> Option<usize> {
-    let candidates: Vec<usize> = sol
-        .routes
+    let nonempty = sol.routes.iter().filter(|r| !r.stops.is_empty()).count();
+    if nonempty == 0 {
+        return None;
+    }
+    let k = rng.gen_range(0..nonempty);
+    sol.routes
         .iter()
         .enumerate()
         .filter(|(_, r)| !r.stops.is_empty())
+        .nth(k)
         .map(|(i, _)| i)
-        .collect();
-    if candidates.is_empty() {
-        None
-    } else {
-        Some(candidates[rng.gen_range(0..candidates.len())])
-    }
 }
 
 /// Move one stop to a random position in a random route.
@@ -504,5 +587,151 @@ mod tests {
         let sol = p.solve(100, 1);
         assert!(sol.routes.is_empty());
         p.validate(&sol).unwrap();
+    }
+
+    /// One pass of the cost as first written: a route's energy (or
+    /// time), each leg priced from geometry.
+    fn reference_pass(p: &VrpProblem, route: &Route, energy: bool) -> f64 {
+        let price = |d: f64| {
+            if energy {
+                p.model.leg_energy_j(d, 0.0)
+            } else {
+                p.model.leg_time_s(d)
+            }
+        };
+        let mut acc = 0.0;
+        let mut here = p.depot;
+        for &i in &route.stops {
+            let t = &p.tasks[i];
+            acc += price(here.distance_m(&t.position));
+            acc += if energy {
+                t.service_energy_j
+            } else {
+                t.service_time_s
+            };
+            here = t.position;
+        }
+        acc + price(here.distance_m(&p.depot))
+    }
+
+    /// The cost as first written, with separate time and energy
+    /// passes. Kept as the reference both pricing paths must match bit
+    /// for bit.
+    fn reference_cost(p: &VrpProblem, sol: &VrpSolution) -> f64 {
+        let mut makespan = 0.0f64;
+        let mut total = 0.0;
+        let mut penalty = 0.0;
+        for route in &sol.routes {
+            let t = reference_pass(p, route, false);
+            makespan = makespan.max(t);
+            total += t;
+            let e = reference_pass(p, route, true);
+            if e > p.battery_budget_j {
+                penalty += 10_000.0 + (e - p.battery_budget_j);
+            }
+        }
+        makespan + 0.05 * total + penalty
+    }
+
+    #[test]
+    fn table_priced_cost_is_bit_identical_to_cost() {
+        let mut rng = androne_simkern::stream_rng(0x7AB1E);
+        let mut penalized = 0;
+        for case in 0..64 {
+            let n = rng.gen_range(1..24);
+            let tasks: Vec<WaypointTask> = (0..n)
+                .map(|_| {
+                    let mut t = task(
+                        "x",
+                        rng.gen_range(-900.0..900.0),
+                        rng.gen_range(-900.0..900.0),
+                        rng.gen_range(0.0..30_000.0),
+                    );
+                    t.position.altitude = rng.gen_range(5.0..60.0);
+                    t.service_time_s = rng.gen_range(0.0..120.0);
+                    t
+                })
+                .collect();
+            let mut p = problem(tasks, 4);
+            // Every other case gets a budget tight enough that some
+            // routes pay the battery penalty.
+            if case % 2 == 1 {
+                p.battery_budget_j = rng.gen_range(5_000.0..60_000.0);
+            }
+            let table = LegTable::new(&p);
+            for _ in 0..8 {
+                let mut order: Vec<usize> = (0..n).collect();
+                for i in (1..n).rev() {
+                    order.swap(i, rng.gen_range(0..=i));
+                }
+                let mut routes = vec![Route { stops: Vec::new() }; rng.gen_range(1..6)];
+                for stop in order {
+                    let r = rng.gen_range(0..routes.len());
+                    routes[r].stops.push(stop);
+                }
+                let sol = VrpSolution { routes };
+                if matches!(p.validate(&sol), Err(VrpError::BatteryViolation(_))) {
+                    penalized += 1;
+                }
+                let priced = p.priced_cost(&sol, &|a, b| table.leg(a, b));
+                let reference = reference_cost(&p, &sol).to_bits();
+                assert_eq!(priced.to_bits(), reference, "case {case}: {sol:?}");
+                assert_eq!(p.cost(&sol).to_bits(), reference, "case {case}: {sol:?}");
+            }
+        }
+        assert!(
+            penalized > 16,
+            "only {penalized} solutions exercised the penalty"
+        );
+    }
+
+    /// The cloud's planning problem in miniature: fourteen tenants
+    /// with two waypoints each, three drones, one capacity party per
+    /// tenant capped at the board's virtual-drone limit.
+    fn party_capped_fleet() -> (VrpProblem, crate::constraints::RouteConstraints) {
+        use crate::constraints::RouteConstraints;
+        let mut tasks = Vec::new();
+        let mut parties = Vec::new();
+        for i in 0..14u32 {
+            let north = f64::from((i * 37) % 11) * 40.0 - 200.0;
+            let east = f64::from((i * 53) % 13) * 35.0 - 210.0;
+            let energy = 4_000.0 + f64::from(i % 5) * 1_500.0;
+            let owner = format!("vd{i}");
+            let mut first = task(&owner, north, east, energy);
+            first.service_time_s = 40.0 + f64::from(i % 4) * 10.0;
+            let mut second = task(&owner, north + 60.0, east - 45.0, energy);
+            second.service_time_s = first.service_time_s;
+            parties.push(vec![tasks.len(), tasks.len() + 1]);
+            tasks.push(first);
+            tasks.push(second);
+        }
+        let mut p = problem(tasks, 3);
+        p.battery_budget_j = androne_energy::BatteryPack::turnigy_3s_5000().plannable_j();
+        let cap = androne_simkern::BoardMemoryProfile::rpi3().max_vdrones();
+        (
+            p,
+            RouteConstraints::none().with_party_capacity(parties, cap),
+        )
+    }
+
+    /// Recorded before the annealer priced candidates from a leg
+    /// table: the cloud's exact solve call must keep returning these
+    /// routes.
+    #[test]
+    fn party_capped_solve_is_pinned() {
+        let (p, constraints) = party_capped_fleet();
+        let sol = p.solve_constrained(20_000, 0xA17D, &constraints);
+        let routes: Vec<Vec<usize>> = sol.routes.iter().map(|r| r.stops.clone()).collect();
+        assert_eq!(
+            routes,
+            vec![
+                vec![11, 10, 21, 20, 23],
+                vec![19, 18, 24, 25, 15, 14],
+                vec![16, 17, 5, 27, 26, 4],
+                vec![22, 12, 13, 9, 8],
+                vec![6, 0, 1, 7, 2, 3],
+            ]
+        );
+        assert_eq!(p.cost(&sol).to_bits(), 4_648_552_596_711_191_052);
     }
 }

@@ -103,6 +103,40 @@ impl Default for WatchdogConfig {
     }
 }
 
+/// A registered definition, frozen together with its canonical JSON.
+///
+/// The record folds the JSON into its state hash every simulated
+/// second; serializing it once at registration keeps that cost off the
+/// flight loop. Reads go through `Deref`, and there is no mutable
+/// access, so the two halves cannot drift apart.
+#[derive(Debug)]
+pub struct FrozenSpec {
+    spec: VirtualDroneSpec,
+    json: String,
+}
+
+impl FrozenSpec {
+    /// Freezes `spec`, serializing it once.
+    pub(crate) fn new(spec: VirtualDroneSpec) -> Self {
+        // BTreeMap-ordered keys make the JSON a stable encoding.
+        let json = serde_json::to_string(&spec).unwrap_or_default();
+        FrozenSpec { spec, json }
+    }
+
+    /// The canonical JSON form.
+    pub(crate) fn json(&self) -> &str {
+        &self.json
+    }
+}
+
+impl std::ops::Deref for FrozenSpec {
+    type Target = VirtualDroneSpec;
+
+    fn deref(&self) -> &VirtualDroneSpec {
+        &self.spec
+    }
+}
+
 /// Per-virtual-drone record.
 #[derive(Debug)]
 pub struct VdRecord {
@@ -110,8 +144,10 @@ pub struct VdRecord {
     pub name: String,
     /// Kernel container id.
     pub container: ContainerId,
-    /// The definition.
-    pub spec: VirtualDroneSpec,
+    /// The definition; read-only (see [`FrozenSpec`]). Prefer
+    /// [`VdRecord::spec`]; the field stays public for callers that
+    /// read it directly.
+    pub spec: FrozenSpec,
     energy_used_j: f64,
     time_used_s: f64,
     energy_warned: bool,
@@ -140,6 +176,11 @@ pub struct VdRecord {
 }
 
 impl VdRecord {
+    /// The definition this record was registered with.
+    pub fn spec(&self) -> &VirtualDroneSpec {
+        &self.spec
+    }
+
     /// Joules remaining in the allotment.
     pub fn energy_remaining_j(&self) -> f64 {
         (self.spec.energy_allotted - self.energy_used_j).max(0.0)
@@ -323,7 +364,7 @@ impl Vdc {
             VdRecord {
                 name,
                 container,
-                spec,
+                spec: FrozenSpec::new(spec),
                 energy_used_j: 0.0,
                 time_used_s: 0.0,
                 energy_warned: false,
@@ -612,9 +653,9 @@ impl StateHash for VdRecord {
     fn state_hash(&self, h: &mut StateHasher) {
         h.write_str(&self.name);
         self.container.state_hash(h);
-        // The spec is immutable after registration; its canonical
-        // JSON form (BTreeMap-ordered keys) is a stable encoding.
-        h.write_str(&serde_json::to_string(&self.spec).unwrap_or_default());
+        // The spec is immutable after registration, so its JSON was
+        // serialized once then.
+        h.write_str(self.spec.json());
         h.write_f64(self.energy_used_j);
         h.write_f64(self.time_used_s);
         h.write_bool(self.energy_warned);
@@ -855,5 +896,26 @@ mod tests {
         assert_eq!(rec.container, c);
         assert!(!vdc.allows("vd1", DeviceClass::Camera));
         assert!(vdc.record("vd1").is_none());
+    }
+
+    /// Recorded before the record cached its spec JSON: the digest of
+    /// a VDC holding two records with diverged state must not move.
+    #[test]
+    fn two_record_digest_is_pinned() {
+        let access = Rc::new(RefCell::new(AccessTable::new()));
+        let mut vdc = Vdc::new(access);
+        let mut spec_cont = VirtualDroneSpec::example_survey();
+        spec_cont.continuous_devices = vec!["gps".into()];
+        vdc.register("vd-cont", ContainerId(10), spec_cont);
+        vdc.register(
+            "vd-survey",
+            ContainerId(11),
+            VirtualDroneSpec::example_survey(),
+        );
+        vdc.on_waypoint_arrived("vd-survey", 0);
+        vdc.charge_energy("vd-survey", 1_234.5);
+        vdc.charge_time("vd-cont", 12.0);
+        vdc.mark_file("vd-cont", "/data/gps.log");
+        assert_eq!(vdc.hash_value(), 11_030_155_825_397_324_785);
     }
 }

@@ -131,7 +131,7 @@ fn run_with_faults_configured(
         let vdc = drone.vdc.borrow();
         let rec = vdc.record("vd1").expect("record survives the flight");
         (
-            rec.spec.energy_allotted - rec.energy_remaining_j(),
+            rec.spec().energy_allotted - rec.energy_remaining_j(),
             rec.container.0,
         )
     };
