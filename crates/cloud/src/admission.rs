@@ -110,8 +110,6 @@ pub struct AdmissionQueue<T> {
     cursor: Option<String>,
     pending: usize,
     peak_depth: usize,
-    enqueued_total: u64,
-    admitted_total: u64,
     backpressure_total: u64,
 }
 
@@ -124,8 +122,6 @@ impl<T> AdmissionQueue<T> {
             cursor: None,
             pending: 0,
             peak_depth: 0,
-            enqueued_total: 0,
-            admitted_total: 0,
             backpressure_total: 0,
         }
     }
@@ -157,7 +153,6 @@ impl<T> AdmissionQueue<T> {
         self.next_seq += 1;
         self.lanes.entry(lane.to_string()).or_default().push_back((seq, item));
         self.pending += 1;
-        self.enqueued_total += 1;
         if self.pending > self.peak_depth {
             self.peak_depth = self.pending;
         }
@@ -172,7 +167,6 @@ impl<T> AdmissionQueue<T> {
         self.next_seq += 1;
         self.lanes.entry(lane.to_string()).or_default().push_back((seq, item));
         self.pending += 1;
-        self.enqueued_total += 1;
         if self.pending > self.peak_depth {
             self.peak_depth = self.pending;
         }
@@ -203,7 +197,6 @@ impl<T> AdmissionQueue<T> {
             }
         }
         out.sort_by_key(|a| a.seq);
-        self.admitted_total += out.len() as u64;
         self.pending = 0;
         out
     }
@@ -227,7 +220,6 @@ impl<T> AdmissionQueue<T> {
             if let Some(q) = self.lanes.get_mut(&key) {
                 if let Some((seq, item)) = q.pop_front() {
                     self.pending -= 1;
-                    self.admitted_total += 1;
                     out.push(Admitted {
                         lane: key.clone(),
                         seq,
@@ -260,14 +252,6 @@ impl<T> AdmissionQueue<T> {
     /// High-water mark of the queue depth over this queue's life.
     pub fn peak_depth(&self) -> usize {
         self.peak_depth
-    }
-
-    pub fn enqueued_total(&self) -> u64 {
-        self.enqueued_total
-    }
-
-    pub fn admitted_total(&self) -> u64 {
-        self.admitted_total
     }
 
     pub fn backpressure_total(&self) -> u64 {
@@ -307,7 +291,7 @@ mod tests {
             "legacy queue order: enqueue order, not lane order"
         );
         assert!(q.is_empty());
-        assert_eq!(q.admitted_total(), 3);
+        assert_eq!(batch.len(), 3);
     }
 
     #[test]

@@ -34,7 +34,7 @@ use androne_cloud::{
     SavedVirtualDrone, VdrStats, MAX_VDRONES_PER_FLIGHT,
 };
 use androne_container::{ContainerArchive, ContainerKind, Layer};
-use androne_energy::DorlingModel;
+use androne_energy::{DorlingModel, PriceSchedule};
 use androne_hal::GeoPoint;
 use androne_obs::{MetricsRegistry, ObsHandle};
 use androne_planner::Packer;
@@ -121,6 +121,23 @@ impl ScaleConfig {
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
+    }
+
+    /// The energy the portal allots each tenant's order, joules,
+    /// keyed by billing account: the tenant's order price cap at the
+    /// portal's default prices. The ledger reference an outcome is
+    /// checked against: an exhausted tenant's billed plus refunded
+    /// energy adds up to it, and a completed tenant's bill stays
+    /// within it.
+    pub fn energy_allotments_j(&self) -> BTreeMap<String, f64> {
+        let model = DorlingModel::f450_prototype();
+        let prices = PriceSchedule::default_schedule();
+        (0..self.tenants)
+            .map(|i| {
+                let shape = tenant_shape(self, i, &model);
+                (shape.user, prices.energy_cap_j(shape.max_charge_cents))
+            })
+            .collect()
     }
 }
 

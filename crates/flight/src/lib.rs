@@ -25,6 +25,7 @@ pub mod estimator;
 pub mod geofence;
 pub mod log_analyzer;
 pub mod mavproxy;
+mod outbox;
 pub mod physics;
 pub mod pid;
 pub mod sitl;

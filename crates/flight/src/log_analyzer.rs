@@ -11,6 +11,7 @@
 //! same analysis.
 
 use androne_hal::Attitude;
+use androne_simkern::{StateHash, StateHasher};
 
 use crate::physics::wrap_pi;
 
@@ -75,9 +76,18 @@ impl AedReport {
 }
 
 /// An in-memory flight log (the DataFlash-log stand-in).
+///
+/// The log is append-only: [`FlightRecorder::record`] is its only
+/// mutator and samples are never handed out mutably. It keeps a
+/// running fold of every sample, taken as the sample is recorded, so
+/// its state hash costs O(1) however long the flight has run. Any
+/// future in-place edit or truncation must reset the running hash and
+/// re-fold what remains.
 #[derive(Debug, Clone, Default)]
 pub struct FlightRecorder {
     samples: Vec<AttSample>,
+    /// Fold of every sample in `samples`, in order.
+    hash: StateHasher,
 }
 
 impl FlightRecorder {
@@ -89,6 +99,9 @@ impl FlightRecorder {
     /// Appends one sample (callers record at ~10 Hz, the ATT log
     /// rate).
     pub fn record(&mut self, t: f64, estimated: Attitude, canonical: Attitude) {
+        self.hash.write_f64(t);
+        estimated.state_hash(&mut self.hash);
+        canonical.state_hash(&mut self.hash);
         self.samples.push(AttSample {
             t,
             estimated,
@@ -158,14 +171,10 @@ impl FlightRecorder {
     }
 }
 
-impl androne_simkern::StateHash for FlightRecorder {
-    fn state_hash(&self, h: &mut androne_simkern::StateHasher) {
+impl StateHash for FlightRecorder {
+    fn state_hash(&self, h: &mut StateHasher) {
         h.write_usize(self.samples.len());
-        for s in &self.samples {
-            h.write_f64(s.t);
-            s.estimated.state_hash(h);
-            s.canonical.state_hash(h);
-        }
+        h.write_u64(self.hash.finish());
     }
 }
 
@@ -234,6 +243,31 @@ mod tests {
         }
         let report = rec.aed_analysis();
         assert!(report.passes(), "wrapped yaw error is small");
+    }
+
+    /// The running hash equals a fresh fold over the samples after
+    /// every seeded `record`.
+    #[test]
+    fn rolling_digest_equals_rescan() {
+        use rand::Rng;
+        for seed in 0..8 {
+            let mut rng = androne_simkern::stream_rng(seed);
+            let mut rec = FlightRecorder::new();
+            let any_att =
+                |rng: &mut dyn rand::RngCore| att(rng.gen(), rng.gen::<f64>() - 0.5, rng.gen());
+            for i in 0..300 {
+                let t = f64::from(i) * 0.1;
+                let (estimated, canonical) = (any_att(&mut rng), any_att(&mut rng));
+                rec.record(t, estimated, canonical);
+                let mut rescan = StateHasher::new();
+                for s in &rec.samples {
+                    rescan.write_f64(s.t);
+                    s.estimated.state_hash(&mut rescan);
+                    s.canonical.state_hash(&mut rescan);
+                }
+                assert_eq!(rec.hash.finish(), rescan.finish(), "seed {seed} sample {i}");
+            }
+        }
     }
 
     #[test]

@@ -26,6 +26,7 @@ use androne_obs::{ObsHandle, Subsystem, TraceEvent};
 use androne_simkern::{LinkModel, LinkState, StateHash, StateHasher};
 use rand::rngs::SmallRng;
 
+use crate::outbox::Outbox;
 use crate::sitl::Sitl;
 use crate::vfc::{Vfc, VfcDecision, VfcState};
 
@@ -103,7 +104,7 @@ struct ClientConn {
     /// Pending messages. Shared references: one telemetry message
     /// fanned out to N identity-view clients is stored once, not N
     /// times.
-    outbox: Vec<Rc<Message>>,
+    outbox: Outbox,
     /// Commands from this client forwarded to the controller.
     forwarded: u64,
     /// Commands from this client denied by its VFC.
@@ -114,7 +115,7 @@ impl ClientConn {
     fn new(vfc: Option<Vfc>) -> Self {
         ClientConn {
             vfc,
-            outbox: Vec::new(),
+            outbox: Outbox::default(),
             forwarded: 0,
             denied: 0,
         }
@@ -301,7 +302,7 @@ impl MavProxy {
     /// path for consumers that only inspect messages.
     pub fn client_recv_shared(&mut self, name: &str) -> Vec<Rc<Message>> {
         match self.clients.get_mut(name) {
-            Some(conn) => std::mem::take(&mut conn.outbox),
+            Some(conn) => conn.outbox.drain(),
             None => Vec::new(),
         }
     }
@@ -546,49 +547,39 @@ impl MavProxy {
     /// sanitizer's verbose dump: a divergence in one client's outbox
     /// names that client instead of the whole proxy.
     pub fn client_hashes(&self) -> Vec<(String, u64)> {
-        let mut payload = Vec::new();
         self.clients
             .iter()
-            .map(|(name, conn)| {
-                let mut h = StateHasher::new();
-                hash_conn(conn, &mut h, &mut payload);
-                (name.clone(), h.finish())
-            })
+            .map(|(name, conn)| (name.clone(), conn.hash_value()))
             .collect()
     }
 }
 
-/// Folds one client's state into `h`. `payload` is scratch space for
-/// the outbox encodings, reused across messages (and across clients
-/// by the caller) so hashing allocates nothing once it has grown.
-fn hash_conn(conn: &ClientConn, h: &mut StateHasher, payload: &mut Vec<u8>) {
-    match &conn.vfc {
-        Some(vfc) => {
-            h.write_u8(1);
-            vfc.state_hash(h);
+impl StateHash for ClientConn {
+    fn state_hash(&self, h: &mut StateHasher) {
+        match &self.vfc {
+            Some(vfc) => {
+                h.write_u8(1);
+                vfc.state_hash(h);
+            }
+            None => h.write_u8(0),
         }
-        None => h.write_u8(0),
+        // The outbox is append-only between drains, so its running
+        // fold stands in for its contents: a digest costs only the
+        // messages queued since the previous one, however long the
+        // flight has run.
+        h.write_usize(self.outbox.len());
+        h.write_u64(self.outbox.digest());
+        h.write_u64(self.forwarded);
+        h.write_u64(self.denied);
     }
-    // Queued messages hash by their wire form: msg id plus encoded
-    // payload is a stable, total serialization.
-    h.write_usize(conn.outbox.len());
-    for msg in &conn.outbox {
-        h.write_u8(msg.msg_id());
-        payload.clear();
-        msg.encode_payload_into(payload);
-        h.write_bytes(payload);
-    }
-    h.write_u64(conn.forwarded);
-    h.write_u64(conn.denied);
 }
 
 impl StateHash for MavProxy {
     fn state_hash(&self, h: &mut StateHasher) {
         h.write_usize(self.clients.len());
-        let mut payload = Vec::new();
         for (name, conn) in &self.clients {
             h.write_str(name);
-            hash_conn(conn, h, &mut payload);
+            conn.state_hash(h);
         }
         match &self.recovery {
             Some(r) => {
@@ -956,29 +947,14 @@ mod tests {
         assert!(sitl.position().distance_m(&next) < 4.0);
     }
 
-    /// Recorded before outbox hashing reused a scratch buffer: the
-    /// digest of a proxy whose three client kinds (unrestricted,
+    /// The digest of a proxy whose three client kinds (unrestricted,
     /// identity-view VFC, rewriting VFC) all hold queued messages must
-    /// not move.
+    /// not move. Recorded when outboxes began hashing as their length
+    /// plus a rolling fold instead of every queued message.
     #[test]
     fn outbox_digest_is_pinned_across_client_kinds() {
         let mut sitl = flying_sitl(6);
-        let mut proxy = MavProxy::new();
-        let here = sitl.position();
-        proxy.add_unrestricted_client("planner");
-        proxy.add_vfc_client(Vfc::new(
-            "vd-active",
-            CommandWhitelist::standard(),
-            Geofence::new(here, 40.0),
-            false,
-        ));
-        proxy.activate_vfc("vd-active");
-        proxy.add_vfc_client(Vfc::new(
-            "vd-pending",
-            CommandWhitelist::standard(),
-            Geofence::new(here.offset_m(500.0, 0.0, 15.0), 30.0),
-            false,
-        ));
+        let mut proxy = three_kinds(sitl.position());
         proxy.client_send(
             "planner",
             Message::SetMode {
@@ -999,11 +975,106 @@ mod tests {
         assert_eq!(
             hashes,
             vec![
-                ("planner".to_string(), 10_445_398_503_318_984_658),
-                ("vd-active".to_string(), 265_572_288_205_865_575),
-                ("vd-pending".to_string(), 7_282_404_379_239_489_479),
+                ("planner".to_string(), 1_617_886_139_876_118_420),
+                ("vd-active".to_string(), 5_614_444_316_092_767_641),
+                ("vd-pending".to_string(), 15_814_444_853_544_564_540),
             ]
         );
-        assert_eq!(proxy.hash_value(), 15_935_280_169_568_775_016);
+        assert_eq!(proxy.hash_value(), 13_317_417_798_713_516_231);
+    }
+
+    /// A proxy with one client of each kind: unrestricted, an
+    /// identity-view (active) VFC and a rewriting (pending) VFC.
+    fn three_kinds(here: GeoPoint) -> MavProxy {
+        let mut proxy = MavProxy::new();
+        proxy.add_unrestricted_client("planner");
+        proxy.add_vfc_client(Vfc::new(
+            "vd-active",
+            CommandWhitelist::standard(),
+            Geofence::new(here, 40.0),
+            false,
+        ));
+        proxy.activate_vfc("vd-active");
+        proxy.add_vfc_client(Vfc::new(
+            "vd-pending",
+            CommandWhitelist::standard(),
+            Geofence::new(here.offset_m(500.0, 0.0, 15.0), 30.0),
+            false,
+        ));
+        proxy
+    }
+
+    /// Each client's rolling outbox digest equals a fresh fold over
+    /// its current contents after every operation: seeded commands
+    /// (replies queued one at a time or as a batch), telemetry
+    /// fan-out over every message variant, and drains, across all
+    /// three client kinds.
+    #[test]
+    fn client_outbox_digests_equal_a_rescan() {
+        use crate::outbox::tests::{any_message, rescan};
+        use rand::Rng;
+
+        const NAMES: [&str; 3] = ["planner", "vd-active", "vd-pending"];
+        for seed in 0..8 {
+            let mut sitl = Sitl::new(HOME, seed);
+            let here = sitl.position();
+            let mut proxy = three_kinds(here);
+            let vfc = proxy.vfc("vd-active").expect("active vfc");
+            assert!(vfc.telemetry_is_identity());
+            let vfc = proxy.vfc("vd-pending").expect("pending vfc");
+            assert!(!vfc.telemetry_is_identity());
+            let mut rng = androne_simkern::stream_rng(seed);
+            for step in 0..200 {
+                let name = NAMES[rng.gen_range(0..NAMES.len())];
+                match rng.gen_range(0u8..10) {
+                    0..=2 => {
+                        let msg = any_message(&mut rng);
+                        proxy.client_send(name, msg, &mut sitl);
+                    }
+                    3..=8 => {
+                        let n = rng.gen_range(0usize..6);
+                        let batch: Vec<Rc<Message>> =
+                            (0..n).map(|_| Rc::new(any_message(&mut rng))).collect();
+                        proxy.distribute_telemetry(&batch, &here);
+                    }
+                    _ => {
+                        proxy.client_recv_shared(name);
+                    }
+                }
+                for (name, conn) in &proxy.clients {
+                    assert_eq!(
+                        conn.outbox.digest(),
+                        rescan(conn.outbox.iter()),
+                        "seed {seed} step {step}: {name}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The rolling digest still fingerprints the whole history: two
+    /// proxies that differ only in one message queued before the
+    /// flight differ at every later second.
+    #[test]
+    fn one_early_message_changes_every_later_digest() {
+        let mut a_sitl = flying_sitl(10);
+        let mut b_sitl = flying_sitl(10);
+        let here = a_sitl.position();
+        let mut a = three_kinds(here);
+        let mut b = three_kinds(here);
+        let notice = |text: &str| {
+            vec![Rc::new(Message::StatusText {
+                severity: 6,
+                text: text.to_string(),
+            })]
+        };
+        a.distribute_telemetry(&notice("early a"), &here);
+        b.distribute_telemetry(&notice("early b"), &here);
+        for second in 0..20 {
+            run(&mut a, &mut a_sitl, 1.0);
+            run(&mut b, &mut b_sitl, 1.0);
+            assert_eq!(a_sitl.hash_value(), b_sitl.hash_value());
+            assert_ne!(a.hash_value(), b.hash_value(), "second {second}");
+        }
     }
 }

@@ -329,12 +329,20 @@ fn scale_spill_heavy_digests_are_pinned() {
     assert_pinned(&out, 0x9a26_ec6d_f150_c3b1, 0x6cf8_3154_2013_180c, 49);
 }
 
+/// Relative tolerance of the energy ledger checks. Billed energy is a
+/// running sum of leg charges and the refund is the allotment minus
+/// that sum, so the two disagree with the allotment only by the
+/// rounding of a few dozen float additions (~1e-16 relative each).
+const LEDGER_REL_EPS: f64 = 1e-9;
+
 /// Terminal accounting adds up at every width: each tenant resolves
 /// once, served waypoints match flown legs, completions are whole and
-/// unrefunded, exhaustions are partial and refunded, and no VDR lease
-/// outlives the run.
+/// unrefunded with a bill inside the allotment, exhaustions are
+/// partial and refunded with billed + refunded = allotted, and no VDR
+/// lease outlives the run.
 #[test]
 fn scale_outcome_invariants_hold_across_shards_and_threads() {
+    let allotments = spill_heavy().energy_allotments_j();
     for (threads, shards) in [(1usize, 1usize), (4, 1), (1, 4), (4, 4)] {
         let cfg = spill_heavy().threads(threads).shards(shards);
         let out = execute_scale_fleet(&cfg);
@@ -353,14 +361,26 @@ fn scale_outcome_invariants_hold_across_shards_and_threads() {
         assert_eq!(served as u64, legs, "{at}: waypoints served vs legs flown");
         assert_eq!(flown, legs, "{at}: tenant flights vs legs flown");
         for (name, t) in &out.tenants {
+            let allotted = allotments[&t.user];
+            let tol = LEDGER_REL_EPS * allotted;
             match t.resolution {
                 ScaleResolution::Completed => {
                     assert_eq!(t.waypoints_completed, t.waypoints_total, "{at}: {name}");
                     assert_eq!(t.refunded_energy_j, 0.0, "{at}: {name} refunded");
+                    assert!(
+                        t.billed_energy_j <= allotted,
+                        "{at}: {name} billed {} past its allotment {allotted}",
+                        t.billed_energy_j
+                    );
                 }
                 ScaleResolution::Exhausted => {
                     assert!(t.refunded_energy_j > 0.0, "{at}: {name} unrefunded");
                     assert!(t.waypoints_completed < t.waypoints_total, "{at}: {name}");
+                    let settled = t.billed_energy_j + t.refunded_energy_j;
+                    assert!(
+                        (settled - allotted).abs() <= tol,
+                        "{at}: {name} billed + refunded {settled} != allotted {allotted}"
+                    );
                 }
             }
         }
