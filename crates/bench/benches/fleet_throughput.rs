@@ -123,12 +123,7 @@ fn ladder_rung(tenants: usize, threads: usize) -> (ScaleOutcome, f64) {
     let t0 = std::time::Instant::now();
     let out = execute_scale_fleet(&ScaleConfig::rung(tenants).threads(threads));
     let wall_s = t0.elapsed().as_secs_f64();
-    assert!(out.quiescent, "{tenants}-tenant rung did not reach quiescence");
-    assert_eq!(
-        out.completed() + out.exhausted(),
-        tenants,
-        "{tenants}-tenant rung left tenants unresolved"
-    );
+    assert_eq!(out.audit(), Ok(()), "{tenants}-tenant rung");
     (out, wall_s)
 }
 
@@ -178,6 +173,7 @@ fn main() {
         "threads=4 diverged from threads=1; the bench refuses to time a wrong answer"
     );
     assert_eq!(seq.metrics_digest(), par.metrics_digest());
+    assert_eq!(seq.audit(), Ok(()), "fleet run ledger");
 
     let samples = usize::try_from((10 / androne_bench::scale()).max(3)).unwrap();
     let mut c = Criterion::default().sample_size(samples);
@@ -237,6 +233,7 @@ fn main() {
     let mut ladder_identical = true;
     for (threads, shards) in [(4usize, 1usize), (1, 4), (4, 4)] {
         let run = execute_scale_fleet(&ScaleConfig::rung(10_000).threads(threads).shards(shards));
+        assert_eq!(run.audit(), Ok(()), "10k rung, threads={threads} shards={shards}");
         if run.fleet_digest() != reference.fleet_digest()
             || run.metrics_digest() != reference.metrics_digest()
         {

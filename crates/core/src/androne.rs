@@ -8,12 +8,13 @@
 //! can resume on a later flight).
 
 use androne_android::AndroneManifest;
-use androne_cloud::{CloudService, NotificationKind, PlacedOrder, SaveReason, SavedVirtualDrone};
+use androne_cloud::{CloudService, NotificationKind, PlacedOrder};
 use androne_hal::GeoPoint;
 use androne_planner::FlightPlan;
 
 use crate::drone::{Drone, DroneError};
 use crate::flight_exec::{execute_flight, AbortCheck, FlightOutcome};
+use crate::ledger::Landing;
 
 /// The assembled service.
 pub struct Androne {
@@ -150,22 +151,17 @@ impl Androne {
             // allotment left to carry onto the next flight.
             let (wp_prior, flights_prior) = prior.get(owner).copied().unwrap_or((0, 0));
             let (archive, app_state) = drone.save_vdrone(owner)?;
-            self.cloud.vdr.store(SavedVirtualDrone {
-                name: owner.clone(),
-                owner: order.user.clone(),
-                spec: order.spec.clone(),
-                archive,
-                app_state,
-                reason: if usage.completed_all {
-                    SaveReason::Completed
-                } else {
-                    SaveReason::Interrupted
-                },
+            let landing = Landing {
+                completed_all: usage.completed_all,
                 remaining_energy_j: usage.remaining_energy_j,
                 remaining_time_s: usage.remaining_time_s,
                 waypoints_completed: wp_prior + usage.waypoints_flown,
                 flights_flown: flights_prior + 1,
-            });
+                archive,
+                app_state,
+            };
+            let saved = landing.saved(owner.clone(), order.user.clone(), order.spec.clone());
+            self.cloud.vdr.store(saved);
         }
         Ok(outcome)
     }

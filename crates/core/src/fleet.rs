@@ -45,8 +45,9 @@
 //! executor.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Arc;
 
-use androne_cloud::{FallibleCloud, PlacedOrder, SaveReason, SavedVirtualDrone};
+use androne_cloud::{FallibleCloud, PlacedOrder, SavedVirtualDrone};
 use androne_hal::GeoPoint;
 use androne_obs::{MetricsRegistry, ObsHandle, Subsystem, TraceSegment};
 use androne_planner::FlightPlan;
@@ -59,6 +60,7 @@ use crate::attack::{AttackDefense, AttackInjector, RtMonitor};
 use crate::drone::{Drone, DroneError, FlightUsage};
 use crate::flight_exec::{execute_flight_probed, EndReason, FlightLog};
 use crate::injector::FaultInjector;
+use crate::ledger::{Landing, TenantBook};
 use crate::pool::{WorkerError, WorkerPool};
 use crate::probe::{DigestProbe, ProbeStack};
 
@@ -321,18 +323,10 @@ impl FleetAttackPlan {
     }
 }
 
-/// Mutable per-tenant bookkeeping while the run is in progress.
-struct TenantState {
-    user: String,
-    spec: VirtualDroneSpec,
-    flights_flown: u32,
-    waypoints_completed: usize,
-    billed_energy_j: f64,
-    billed_time_s: f64,
-    refunded_energy_j: f64,
-    remaining_energy_j: f64,
-    remaining_time_s: f64,
-    resolution: Option<TenantResolution>,
+/// The book's id for `name`. Ids follow `vd_name` order, so the
+/// lines are sorted by name.
+fn tenant_id(book: &TenantBook<()>, name: &str) -> Option<usize> {
+    book.lines().binary_search_by(|l| (*l.name).cmp(name)).ok()
 }
 
 /// Where a virtual drone aboard a flight comes from: a leased VDR
@@ -382,8 +376,6 @@ struct PlanWork {
 /// Per-owner bookkeeping an island brings back for the merge step.
 struct OwnerPost {
     owner: String,
-    wp_prior: usize,
-    flights_prior: u32,
     usage: FlightUsage,
     revoked: bool,
     archive: androne_container::ContainerArchive,
@@ -440,33 +432,15 @@ fn run_island(item: PlanWork, panic_flight: Option<usize>) -> Result<IslandVerdi
         panic!("worker chaos: injected panic at flight {}", item.flight_index);
     }
     let mut drone = Drone::boot(item.base, item.seed)?;
-    let mut prior: BTreeMap<String, (usize, u32)> = BTreeMap::new();
     for (owner, source) in item.owners.iter().zip(item.sources.iter()) {
-        let failed = match source {
+        let deployed = match source {
             OwnerSource::Resume(saved) => {
                 let spec = saved.resume_spec().unwrap_or_else(|| saved.spec.clone());
-                match drone.deploy_from_archive(&saved.archive, spec, &[], &saved.app_state) {
-                    Ok(_) => {
-                        let wp = if saved.resumable() {
-                            saved.waypoints_completed
-                        } else {
-                            0
-                        };
-                        prior.insert(owner.clone(), (wp, saved.flights_flown));
-                        None
-                    }
-                    Err(e) => Some(e),
-                }
+                drone.deploy_from_archive(&saved.archive, spec, &[], &saved.app_state).map(drop)
             }
-            OwnerSource::Fresh(spec) => match drone.deploy_vdrone(owner, spec.clone(), &[]) {
-                Ok(_) => {
-                    prior.insert(owner.clone(), (0, 0));
-                    None
-                }
-                Err(e) => Some(e),
-            },
+            OwnerSource::Fresh(spec) => drone.deploy_vdrone(owner, spec.clone(), &[]).map(drop),
         };
-        if let Some(e) = failed {
+        if let Err(e) = deployed {
             return Ok(IslandVerdict::Scrapped {
                 owner: owner.clone(),
                 error: e.to_string(),
@@ -533,12 +507,9 @@ fn run_island(item: PlanWork, panic_flight: Option<usize>) -> Result<IslandVerdi
             .borrow()
             .record(owner)
             .is_some_and(|r| r.revoked);
-        let (wp_prior, flights_prior) = prior.get(owner).copied().unwrap_or((0, 0));
         let (archive, app_state) = drone.save_vdrone(owner)?;
         per_owner.push(OwnerPost {
             owner: owner.clone(),
-            wp_prior,
-            flights_prior,
             usage,
             revoked,
             archive,
@@ -667,27 +638,13 @@ fn execute_fleet_inner(
     // so degraded-mode trace records order by wave.
     let cloud_obs = ObsHandle::attached();
     cloud.set_obs(cloud_obs.clone());
-    let mut states: BTreeMap<String, TenantState> = cfg
-        .tenants
-        .iter()
-        .map(|t| {
-            (
-                t.vd_name.clone(),
-                TenantState {
-                    user: t.user.clone(),
-                    spec: t.spec.clone(),
-                    flights_flown: 0,
-                    waypoints_completed: 0,
-                    billed_energy_j: 0.0,
-                    billed_time_s: 0.0,
-                    refunded_energy_j: 0.0,
-                    remaining_energy_j: t.spec.energy_allotted,
-                    remaining_time_s: t.spec.max_duration,
-                    resolution: None,
-                },
-            )
-        })
-        .collect();
+    // Ids in `vd_name` order (a repeated name keeps its last tenant).
+    let by_name: BTreeMap<&str, &FleetTenant> =
+        cfg.tenants.iter().map(|t| (t.vd_name.as_str(), t)).collect();
+    let mut book = TenantBook::with_capacity(by_name.len());
+    for (name, t) in by_name {
+        book.open(Arc::from(name), t.user.clone(), t.spec.clone(), ());
+    }
 
     let mut flights: Vec<FlightRecord> = Vec::new();
     let mut flight_counter: usize = 0;
@@ -695,7 +652,7 @@ fn execute_fleet_inner(
     let mut waves_run: u64 = 0;
 
     for wave in 0..cfg.max_waves {
-        if states.values().all(|s| s.resolution.is_some()) {
+        if book.lines().iter().all(|l| l.resolution().is_some()) {
             break;
         }
         waves_run = wave + 1;
@@ -710,30 +667,27 @@ fn execute_fleet_inner(
         // drone is refunded here.
         let mut orders: Vec<PlacedOrder> = Vec::new();
         let mut saved_map: BTreeMap<String, SavedVirtualDrone> = BTreeMap::new();
-        let mut refunds: Vec<(String, String, f64)> = Vec::new();
-        for (name, st) in states.iter_mut() {
-            if st.resolution.is_some() {
+        let mut unresumable: Vec<usize> = Vec::new();
+        for (id, line) in book.lines().iter().enumerate() {
+            if line.resolution().is_some() {
                 continue;
             }
-            let spec = if st.flights_flown == 0 {
-                Some(st.spec.clone())
+            let spec = if line.flights_flown == 0 {
+                Some((*line.spec).clone())
             } else {
-                match cloud.checkout_saved(name) {
+                match cloud.checkout_saved(&line.name) {
                     Err(_) | Ok(None) => None,
                     Ok(Some(saved)) => match saved.resume_spec() {
                         Some(rspec) => {
-                            saved_map.insert(name.clone(), saved);
+                            saved_map.insert(line.name.to_string(), saved);
                             Some(rspec)
                         }
                         None => {
                             // Interrupted with nothing left to fly on:
                             // the entry goes back to storage and the
                             // unserved remainder is refunded.
-                            let remaining = saved.remaining_energy_j.max(0.0);
-                            cloud.inner.vdr.abandon(name);
-                            refunds.push((st.user.clone(), name.clone(), remaining));
-                            st.refunded_energy_j += remaining;
-                            st.resolution = Some(TenantResolution::Refunded);
+                            cloud.inner.vdr.abandon(&line.name);
+                            unresumable.push(id);
                             None
                         }
                     },
@@ -742,16 +696,16 @@ fn execute_fleet_inner(
             if let Some(spec) = spec {
                 orders.push(PlacedOrder {
                     order_id: next_order_id,
-                    user: st.user.clone(),
-                    vd_name: name.clone(),
+                    user: line.user.clone(),
+                    vd_name: line.name.to_string(),
                     spec,
                     flexible_schedule: true,
                 });
                 next_order_id += 1;
             }
         }
-        for (user, name, remaining) in refunds {
-            cloud.refund_unserved(&user, &name, remaining);
+        for id in unresumable {
+            book.refund(id, &mut cloud);
         }
         if orders.is_empty() {
             continue;
@@ -803,9 +757,9 @@ fn execute_fleet_inner(
                     if let Some(saved) = saved_map.get(o) {
                         sources.push(OwnerSource::Resume(saved.clone()));
                     } else {
-                        match states.get(o) {
-                            Some(s) if s.flights_flown == 0 && s.resolution.is_none() => {
-                                sources.push(OwnerSource::Fresh(s.spec.clone()));
+                        match tenant_id(&book, o).map(|id| book.line(id)) {
+                            Some(l) if l.flights_flown == 0 && l.resolution().is_none() => {
+                                sources.push(OwnerSource::Fresh((*l.spec).clone()));
                             }
                             _ => {
                                 flyable = false;
@@ -956,50 +910,42 @@ fn execute_fleet_inner(
                         }
                         let flight_id = cloud.inner.new_flight_id();
                         for post in island.per_owner {
-                            let Some(st) = states.get_mut(&post.owner) else {
-                                return Err(DroneError::UnknownVirtualDrone(post.owner.clone()));
+                            let Some(id) = tenant_id(&book, &post.owner) else {
+                                return Err(DroneError::UnknownVirtualDrone(post.owner));
                             };
                             let usage = post.usage;
                             cloud.try_complete_flight(
-                                &st.user,
+                                &book.line(id).user,
                                 flight_id,
                                 usage.energy_used_j,
                                 usage.files,
                             );
-                            st.flights_flown = post.flights_prior + 1;
-                            st.waypoints_completed = post.wp_prior + usage.waypoints_flown;
-                            st.billed_energy_j += usage.energy_used_j;
-                            st.billed_time_s += usage.time_used_s;
-                            st.remaining_energy_j = usage.remaining_energy_j;
-                            st.remaining_time_s = usage.remaining_time_s;
-
-                            cloud.inner.vdr.store(SavedVirtualDrone {
-                                name: post.owner.clone(),
-                                owner: st.user.clone(),
-                                spec: st.spec.clone(),
-                                archive: post.archive,
-                                app_state: post.app_state,
-                                reason: if usage.completed_all {
-                                    SaveReason::Completed
-                                } else {
-                                    SaveReason::Interrupted
-                                },
+                            // A resume deployed the waypoints its line
+                            // has not served yet, so progress adds up.
+                            let line = book.line(id);
+                            let served = line.waypoints_completed + usage.waypoints_flown;
+                            let landing = Landing {
+                                completed_all: usage.completed_all,
                                 remaining_energy_j: usage.remaining_energy_j,
                                 remaining_time_s: usage.remaining_time_s,
-                                waypoints_completed: post.wp_prior + usage.waypoints_flown,
-                                flights_flown: post.flights_prior + 1,
-                            });
-                            if usage.completed_all {
-                                st.resolution = Some(TenantResolution::Completed);
-                            } else if post.revoked {
+                                waypoints_completed: served,
+                                flights_flown: line.flights_flown + 1,
+                                archive: post.archive,
+                                app_state: post.app_state,
+                            };
+                            let completed = book.land(
+                                id,
+                                usage.energy_used_j,
+                                usage.time_used_s,
+                                landing,
+                                &mut cloud.inner.vdr,
+                            );
+                            if !completed && post.revoked {
                                 // Policy enforcement is terminal: the
                                 // watchdog revoked this drone, so it
                                 // is not rescheduled; its unserved
                                 // remainder is refunded.
-                                st.refunded_energy_j += usage.remaining_energy_j;
-                                st.resolution = Some(TenantResolution::Refunded);
-                                let user = st.user.clone();
-                                cloud.refund_unserved(&user, &post.owner, usage.remaining_energy_j);
+                                book.refund(id, &mut cloud);
                             }
                         }
 
@@ -1032,45 +978,12 @@ fn execute_fleet_inner(
     // within the wave budget — refund the unserved remainder (the
     // full allotment if it never flew). Interrupted entries stay in
     // the VDR: the customer's drone itself is never lost.
-    for (name, st) in states.iter_mut() {
-        if st.resolution.is_some() {
-            continue;
+    for id in 0..book.lines().len() {
+        if book.line(id).resolution().is_none() {
+            book.refund(id, &mut cloud);
         }
-        let remaining = if st.flights_flown == 0 {
-            st.spec.energy_allotted
-        } else {
-            st.remaining_energy_j
-        };
-        cloud.refund_unserved(&st.user, name, remaining);
-        st.refunded_energy_j += remaining;
-        st.resolution = Some(TenantResolution::Refunded);
     }
-
-    let tenants = states
-        .into_iter()
-        .map(|(name, st)| {
-            let resolution = st.resolution.unwrap_or(TenantResolution::Refunded);
-            let bill = cloud.inner.billing.bill(&st.user);
-            (
-                name,
-                TenantOutcome {
-                    user: st.user,
-                    flights_flown: st.flights_flown,
-                    waypoints_completed: st.waypoints_completed,
-                    waypoints_total: st.spec.waypoints.len(),
-                    energy_allotted_j: st.spec.energy_allotted,
-                    billed_energy_j: st.billed_energy_j,
-                    billed_time_s: st.billed_time_s,
-                    refunded_energy_j: st.refunded_energy_j,
-                    remaining_energy_j: st.remaining_energy_j,
-                    remaining_time_s: st.remaining_time_s,
-                    ledger_energy_j: bill.energy_j,
-                    ledger_refund_j: bill.energy_refund_j,
-                    resolution,
-                },
-            )
-        })
-        .collect();
+    let tenants = book.outcomes(&cloud.inner.billing);
 
     // The cloud façade's own registry merges last, after every
     // flight's — one fixed position, independent of thread count.

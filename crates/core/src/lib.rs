@@ -30,6 +30,7 @@ pub mod drone;
 pub mod fleet;
 pub mod flight_exec;
 pub mod injector;
+mod ledger;
 pub mod pool;
 pub mod probe;
 pub mod sanitizer;
@@ -50,6 +51,7 @@ pub use flight_exec::{
     execute_flight, execute_flight_probed, AbortCheck, EndReason, FlightLog, FlightOutcome,
 };
 pub use injector::FaultInjector;
+pub use ledger::LedgerViolation;
 pub use pool::{WorkerError, WorkerPool};
 pub use probe::{DigestProbe, FlightProbe, FlightRecorder, FnProbe, NoProbe, ProbeStack};
 pub use scale::{

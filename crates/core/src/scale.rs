@@ -30,8 +30,8 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use androne_cloud::{
-    AdmissionConfig, FallibleCloud, OrderRequest, OrderSubmitError, PlacedOrder, SaveReason,
-    SavedVirtualDrone, VdrStats, MAX_VDRONES_PER_FLIGHT,
+    AdmissionConfig, FallibleCloud, OrderRequest, OrderSubmitError, PlacedOrder, VdrStats,
+    MAX_VDRONES_PER_FLIGHT,
 };
 use androne_container::{ContainerArchive, ContainerKind, Layer};
 use androne_energy::{DorlingModel, PriceSchedule};
@@ -41,6 +41,7 @@ use androne_planner::Packer;
 use androne_simkern::StateHasher;
 use androne_vdc::WaypointSpec;
 
+use crate::ledger::{LadderLine, Landing, TenantBook, LADDER_LEDGER_MISMATCHES};
 use crate::pool::WorkerPool;
 
 /// Launch site shared by every synthetic tenant (same base the
@@ -122,23 +123,21 @@ impl ScaleConfig {
         self.seed = seed;
         self
     }
+}
 
-    /// The energy the portal allots each tenant's order, joules,
-    /// keyed by billing account: the tenant's order price cap at the
-    /// portal's default prices. The ledger reference an outcome is
-    /// checked against: an exhausted tenant's billed plus refunded
-    /// energy adds up to it, and a completed tenant's bill stays
-    /// within it.
-    pub fn energy_allotments_j(&self) -> BTreeMap<String, f64> {
-        let model = DorlingModel::f450_prototype();
-        let prices = PriceSchedule::default_schedule();
-        (0..self.tenants)
-            .map(|i| {
-                let shape = tenant_shape(self, i, &model);
-                (shape.user, prices.energy_cap_j(shape.max_charge_cents))
-            })
-            .collect()
-    }
+/// The energy the portal allots each of `cfg`'s tenants, joules,
+/// keyed by billing account: the tenant's order price cap at the
+/// portal's default prices. [`ScaleOutcome::audit`] settles each
+/// tenant against it, since the outcome rows do not carry it.
+pub(crate) fn energy_allotments_j(cfg: &ScaleConfig) -> BTreeMap<String, f64> {
+    let model = DorlingModel::f450_prototype();
+    let prices = PriceSchedule::default_schedule();
+    (0..cfg.tenants)
+        .map(|i| {
+            let shape = tenant_shape(cfg, i, &model);
+            (shape.user, prices.energy_cap_j(shape.max_charge_cents))
+        })
+        .collect()
 }
 
 /// How a tenant's mission ended.
@@ -307,7 +306,7 @@ fn tenant_shape(cfg: &ScaleConfig, index: usize, model: &DorlingModel) -> Tenant
     }
     let needs: Vec<(f64, f64)> = waypoints
         .iter()
-        .map(|wp| waypoint_need(model, &wp.position()))
+        .map(|wp| leg_cost(model, BASE.ground_distance_m(&wp.position())))
         .collect();
     let full_energy: f64 = needs.iter().map(|(e, _)| e).sum::<f64>() + PROVISION_MARGIN_J;
     let full_time: f64 = needs.iter().map(|(_, t)| t).sum::<f64>() + 600.0;
@@ -329,38 +328,13 @@ fn tenant_shape(cfg: &ScaleConfig, index: usize, model: &DorlingModel) -> Tenant
     }
 }
 
-/// Closed-form cost of serving one waypoint from the base: out and
-/// back at cruise plus the on-site service cost.
-fn waypoint_need(model: &DorlingModel, wp: &GeoPoint) -> (f64, f64) {
-    let dist = BASE.ground_distance_m(wp);
+/// Closed-form `(energy_j, time_s)` of serving a waypoint `dist_m`
+/// from the base: out and back at cruise plus the on-site service cost.
+fn leg_cost(model: &DorlingModel, dist_m: f64) -> (f64, f64) {
     (
-        model.leg_energy_j(2.0 * dist, 0.0) + SERVICE_ENERGY_J,
-        model.leg_time_s(2.0 * dist) + SERVICE_TIME_S,
+        model.leg_energy_j(2.0 * dist_m, 0.0) + SERVICE_ENERGY_J,
+        model.leg_time_s(2.0 * dist_m) + SERVICE_TIME_S,
     )
-}
-
-/// Live per-tenant state between admission and terminal resolution,
-/// indexed by a dense id assigned in admission order.
-struct TenantState {
-    /// Virtual drone name: the VDR key, shared with the islands that
-    /// fold it into their digests.
-    name: Arc<str>,
-    user: String,
-    /// Per-waypoint `(energy_j, time_s)` needs from the placed spec.
-    needs: Vec<(f64, f64)>,
-    /// `(dist_m, energy_j, time_s)` per waypoint for island data.
-    dists: Vec<f64>,
-    next_wp: usize,
-    remaining_e: f64,
-    remaining_t: f64,
-    billed_e: f64,
-    refunded_e: f64,
-    flights_flown: u32,
-    submitted_clock_s: f64,
-    resolution: Option<(ScaleResolution, f64)>,
-    /// Boxed to keep the dense table small: the final outcome pass
-    /// holds the whole table while it frees each spec in turn.
-    spec: Box<androne_vdc::VirtualDroneSpec>,
 }
 
 /// Plain data one flight carries onto a worker thread.
@@ -397,8 +371,7 @@ fn fly_island(model: DorlingModel, work: ScaleWork) -> ScaleFlightOut {
     let mut energy = 0.0;
     let mut duration = 0.0;
     for leg in &work.legs {
-        let e = model.leg_energy_j(2.0 * leg.dist_m, 0.0) + SERVICE_ENERGY_J;
-        let t = model.leg_time_s(2.0 * leg.dist_m) + SERVICE_TIME_S;
+        let (e, t) = leg_cost(&model, leg.dist_m);
         h.write_str(&leg.owner);
         h.write_f64(leg.dist_m);
         h.write_f64(e);
@@ -459,7 +432,8 @@ pub fn execute_scale_fleet(cfg: &ScaleConfig) -> ScaleOutcome {
         * (model.leg_energy_j(2.0 * worst_dist, 0.0) + SERVICE_ENERGY_J)
         + 1.0;
 
-    let mut states: Vec<TenantState> = Vec::with_capacity(cfg.tenants);
+    // Ledger lines, ids assigned in admission order.
+    let mut book: TenantBook<LadderLine> = TenantBook::with_capacity(cfg.tenants);
     // Tenants cleared to fly their next waypoint, in FIFO order:
     // spilled first, then those newly through the affordability gate.
     let mut ready: VecDeque<usize> = VecDeque::new();
@@ -523,34 +497,14 @@ pub fn execute_scale_fleet(cfg: &ScaleConfig) -> ScaleOutcome {
 
         // ── Admission: this wave's batch materializes tenant state.
         for placed in cloud.admit_orders() {
-            let needs: Vec<(f64, f64)> = placed
-                .spec
-                .waypoints
-                .iter()
-                .map(|wp| waypoint_need(&model, &wp.position()))
-                .collect();
-            let dists: Vec<f64> = placed
+            let dists = placed
                 .spec
                 .waypoints
                 .iter()
                 .map(|wp| BASE.ground_distance_m(&wp.position()))
                 .collect();
-            fresh.push(states.len());
-            states.push(TenantState {
-                name: placed.vd_name.into(),
-                user: placed.user,
-                needs,
-                dists,
-                next_wp: 0,
-                remaining_e: placed.spec.energy_allotted,
-                remaining_t: placed.spec.max_duration,
-                billed_e: 0.0,
-                refunded_e: 0.0,
-                flights_flown: 0,
-                submitted_clock_s: 0.0,
-                resolution: None,
-                spec: Box::new(placed.spec),
-            });
+            let payload = LadderLine { dists, resolved_at_s: 0.0 };
+            fresh.push(book.open(placed.vd_name.into(), placed.user, placed.spec, payload));
         }
         obs.gauge_max(
             "scale.queue_depth_peak",
@@ -563,18 +517,17 @@ pub fn execute_scale_fleet(cfg: &ScaleConfig) -> ScaleOutcome {
         // every flight is at the party cap. Only fresh entries and one
         // fleet's worth of ready tenants are touched per wave.
         for id in fresh.drain(..) {
-            let st = &mut states[id];
-            let Some(&(need_e, need_t)) = st.needs.get(st.next_wp) else {
+            let line = book.line(id);
+            let Some(&dist) = line.payload.dists.get(line.waypoints_completed) else {
                 continue;
             };
-            if st.remaining_e < need_e || st.remaining_t < need_t {
+            let (need_e, need_t) = leg_cost(&model, dist);
+            if line.remaining_energy_j < need_e || line.remaining_time_s < need_t {
                 // Terminal: the allotment cannot afford the next
                 // waypoint. Refund the unserved remainder.
-                let refund = st.remaining_e.max(0.0);
-                st.refunded_e = refund;
-                st.resolution = Some((ScaleResolution::Exhausted, clock_s));
+                book.refund(id, &mut cloud);
+                book.payload_mut(id).resolved_at_s = clock_s;
                 resolved += 1;
-                cloud.refund_unserved(&st.user, &st.name, refund);
                 obs.count("scale.tenants_exhausted", 1);
                 continue;
             }
@@ -588,10 +541,11 @@ pub fn execute_scale_fleet(cfg: &ScaleConfig) -> ScaleOutcome {
         let mut spilled: Vec<usize> = Vec::new();
         while !packer.is_full() {
             let Some(id) = ready.pop_front() else { break };
-            let st = &states[id];
-            let Some(&(need_e, need_t)) = st.needs.get(st.next_wp) else {
+            let line = book.line(id);
+            let Some(&dist) = line.payload.dists.get(line.waypoints_completed) else {
                 continue;
             };
+            let (need_e, need_t) = leg_cost(&model, dist);
             if !packer.offer(id, need_e, need_t) {
                 spilled.push(id);
             }
@@ -611,11 +565,11 @@ pub fn execute_scale_fleet(cfg: &ScaleConfig) -> ScaleOutcome {
                 .items
                 .iter()
                 .filter_map(|&idx| {
-                    let st = states.get(idx)?;
+                    let line = book.lines().get(idx)?;
                     Some(ScaleLeg {
                         id: idx,
-                        owner: Arc::clone(&st.name),
-                        dist_m: *st.dists.get(st.next_wp)?,
+                        owner: Arc::clone(&line.name),
+                        dist_m: *line.payload.dists.get(line.waypoints_completed)?,
                     })
                 })
                 .collect();
@@ -630,7 +584,7 @@ pub fn execute_scale_fleet(cfg: &ScaleConfig) -> ScaleOutcome {
         // state out of the VDR for the duration (commit on landing).
         let mut leased: Vec<usize> = Vec::new();
         for leg in works.iter().flat_map(|w| &w.legs) {
-            let resuming = states[leg.id].flights_flown > 0;
+            let resuming = book.line(leg.id).flights_flown > 0;
             if resuming && cloud.inner.vdr.checkout(&leg.owner).is_some() {
                 leased.push(leg.id);
             }
@@ -653,33 +607,20 @@ pub fn execute_scale_fleet(cfg: &ScaleConfig) -> ScaleOutcome {
             obs.count("scale.legs", out.served.len() as u64);
             let landing_clock = clock_s + out.duration_s;
             for (id, e, t) in out.served {
-                let st = &mut states[id];
-                st.remaining_e -= e;
-                st.remaining_t -= t;
-                st.billed_e += e;
-                st.next_wp += 1;
-                st.flights_flown += 1;
-                cloud.inner.billing.charge_energy(&st.user, e);
-                let done = st.next_wp >= st.needs.len();
-                let reason = if done {
-                    SaveReason::Completed
-                } else {
-                    SaveReason::Interrupted
+                let line = book.line(id);
+                cloud.inner.billing.charge_energy(&line.user, e);
+                let wp = line.waypoints_completed + 1;
+                let landing = Landing {
+                    completed_all: wp >= line.payload.dists.len(),
+                    remaining_energy_j: line.remaining_energy_j - e,
+                    remaining_time_s: line.remaining_time_s - t,
+                    waypoints_completed: wp,
+                    flights_flown: line.flights_flown + 1,
+                    archive: synthetic_archive(&line.name, wp),
+                    app_state: format!("{{\"wp\":{wp}}}"),
                 };
-                cloud.inner.vdr.store(SavedVirtualDrone {
-                    name: st.name.to_string(),
-                    owner: st.user.clone(),
-                    spec: (*st.spec).clone(),
-                    archive: synthetic_archive(&st.name, st.next_wp),
-                    app_state: format!("{{\"wp\":{}}}", st.next_wp),
-                    reason,
-                    remaining_energy_j: st.remaining_e,
-                    remaining_time_s: st.remaining_t,
-                    waypoints_completed: st.next_wp,
-                    flights_flown: st.flights_flown,
-                });
-                if done {
-                    st.resolution = Some((ScaleResolution::Completed, landing_clock));
+                if book.land(id, e, t, landing, &mut cloud.inner.vdr) {
+                    book.payload_mut(id).resolved_at_s = landing_clock;
                     resolved += 1;
                     obs.count("scale.tenants_completed", 1);
                 } else {
@@ -688,7 +629,7 @@ pub fn execute_scale_fleet(cfg: &ScaleConfig) -> ScaleOutcome {
             }
         }
         for id in leased {
-            cloud.inner.vdr.commit(&states[id].name);
+            cloud.inner.vdr.commit(&book.line(id).name);
         }
 
         // ── Compact when the journal has doubled past the live set.
@@ -728,31 +669,14 @@ pub fn execute_scale_fleet(cfg: &ScaleConfig) -> ScaleOutcome {
     let peak_depth = cloud.admission().peak_depth();
     let vdr_stats = cloud.inner.vdr.stats();
     let vdr_digest = cloud.inner.vdr.digest();
+    // The outcome rows cannot carry the billing ledger's figures, so the
+    // book is reconciled against it here and `audit` reads the count.
+    let unreconciled = book.unreconciled(&cloud.inner.billing);
+    if unreconciled > 0 {
+        obs.count(LADDER_LEDGER_MISMATCHES, unreconciled);
+    }
 
-    let mut latencies: Vec<f64> = Vec::with_capacity(states.len());
-    let tenants: BTreeMap<String, ScaleTenantOutcome> = states
-        .into_iter()
-        .map(|st| {
-            let (resolution, resolved_clock) = st
-                .resolution
-                .unwrap_or((ScaleResolution::Exhausted, clock_s));
-            let latency = resolved_clock - st.submitted_clock_s;
-            latencies.push(latency);
-            (
-                st.name.to_string(),
-                ScaleTenantOutcome {
-                    user: st.user,
-                    resolution,
-                    waypoints_completed: st.next_wp,
-                    waypoints_total: st.needs.len(),
-                    flights_flown: st.flights_flown,
-                    billed_energy_j: st.billed_e,
-                    refunded_energy_j: st.refunded_e,
-                    latency_s: latency,
-                },
-            )
-        })
-        .collect();
+    let (tenants, mut latencies) = book.outcomes(clock_s);
     latencies.sort_by(f64::total_cmp);
     let p99 = if latencies.is_empty() {
         0.0
@@ -802,8 +726,7 @@ mod tests {
             ..ScaleConfig::rung(40)
         };
         let out = execute_scale_fleet(&cfg);
-        assert!(out.quiescent, "ran {} waves without quiescing", out.waves_run);
-        assert_eq!(out.tenants.len(), 40);
+        assert_eq!(out.audit(), Ok(()));
         assert!(out.completed() > 0);
         assert!(out.exhausted() > 0, "the under-provisioned cohort exhausts");
         assert!(out.backpressured_submissions > 0, "capacity 24 < 40 tenants");
@@ -846,17 +769,12 @@ mod tests {
             ..ScaleConfig::rung(26)
         };
         let out = execute_scale_fleet(&cfg);
-        assert!(out.quiescent);
-        let exhausted: Vec<&ScaleTenantOutcome> = out
-            .tenants
-            .values()
-            .filter(|t| t.resolution == ScaleResolution::Exhausted)
-            .collect();
-        assert_eq!(exhausted.len(), 2, "tenants 5 and 18 of 26");
-        for t in exhausted {
-            assert!(t.refunded_energy_j > 0.0);
-            assert!(t.waypoints_completed < t.waypoints_total);
-        }
+        assert_eq!(out.audit(), Ok(()));
+        assert_eq!(out.exhausted(), 2, "tenants 5 and 18 of 26");
+        let owed = |t: &ScaleTenantOutcome| {
+            t.resolution == ScaleResolution::Completed || t.refunded_energy_j > 0.0
+        };
+        assert!(out.tenants.values().all(owed));
     }
 
     #[test]
@@ -869,11 +787,8 @@ mod tests {
             ..ScaleConfig::rung(30)
         };
         let out = execute_scale_fleet(&cfg);
-        assert!(out.quiescent);
-        // Every tenant that flew at least once has a VDR entry.
-        let flew: usize = out.tenants.values().filter(|t| t.flights_flown > 0).count();
-        assert_eq!(out.vdr.entries, flew);
-        assert_eq!(out.vdr.leased, 0, "every lease resolved");
+        // Every tenant that flew has a VDR entry and no lease is left.
+        assert_eq!(out.audit(), Ok(()));
         // Multi-flight tenants telescoped saves; compaction caught them.
         assert!(out.vdr.compacted_saves > 0);
         assert!(out.vdr.reclaimed_bytes > 0);

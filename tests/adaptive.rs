@@ -24,99 +24,24 @@
 
 use std::collections::BTreeMap;
 
-use androne::fleet::{
-    FleetAttackPlan, FleetConfig, FleetOutcome, FleetSpec,
-    FleetTenant, TenantResolution,
-};
-use androne::hal::GeoPoint;
+use androne::fleet::{FleetAttackPlan, FleetConfig, FleetSpec, FleetTenant};
 use androne::simkern::FleetFaultPlan;
-use androne::vdc::{VirtualDroneSpec, WaypointSpec};
 use androne::workloads::{AdaptivePlan, ARDUPILOT_DEADLINE_US};
 use androne::AttackDefense;
+use support::{fleet_tenants, gate_config, wp};
 
-const BASE: GeoPoint = GeoPoint::new(43.6084298, -85.8110359, 0.0);
-const MAX_SIM_S: f64 = 240.0;
-
-fn wp(north: f64, east: f64, radius: f64) -> WaypointSpec {
-    let p = BASE.offset_m(north, east, 15.0);
-    WaypointSpec {
-        latitude: p.latitude,
-        longitude: p.longitude,
-        altitude: 15.0,
-        max_radius: radius,
-    }
-}
+mod support;
 
 /// Tenants clustered tightly enough that the VRP co-deploys all of
 /// them on one physical flight (the board fits three virtual
 /// drones) — the co-residency collusion needs.
 fn clustered_tenants(n: usize) -> Vec<FleetTenant> {
-    (0..n)
-        .map(|i| {
-            let k = i as f64;
-            FleetTenant {
-                vd_name: format!("vd{}", i + 1),
-                user: format!("user{}", i + 1),
-                spec: VirtualDroneSpec {
-                    waypoints: vec![wp(40.0 + 3.0 * k, -20.0 + 4.0 * k, 40.0)],
-                    max_duration: 8.0,
-                    energy_allotted: 60_000.0,
-                    continuous_devices: vec![],
-                    waypoint_devices: vec!["camera".into(), "flight-control".into()],
-                    apps: vec![],
-                    app_args: Default::default(),
-                },
-            }
-        })
-        .collect()
-}
-
-/// Tenants matching the adversarial gate's spread geometry so the
-/// VRP splits waves across at least two physical flights.
-fn spread_tenants(n: usize) -> Vec<FleetTenant> {
-    (0..n)
-        .map(|i| {
-            let k = i as f64;
-            FleetTenant {
-                vd_name: format!("vd{}", i + 1),
-                user: format!("user{}", i + 1),
-                spec: VirtualDroneSpec {
-                    waypoints: vec![
-                        wp(40.0 + 9.0 * k, -30.0 + 14.0 * k, 40.0),
-                        wp(62.0 - 6.0 * k, 25.0 + 11.0 * k, 40.0),
-                    ],
-                    max_duration: 8.0,
-                    energy_allotted: 60_000.0,
-                    continuous_devices: vec![],
-                    waypoint_devices: vec!["camera".into(), "flight-control".into()],
-                    apps: vec![],
-                    app_args: Default::default(),
-                },
-            }
-        })
-        .collect()
-}
-
-fn assert_terminal_outcomes(run: &FleetOutcome, label: &str) {
-    for (name, t) in &run.tenants {
-        assert!(
-            (t.ledger_energy_j - t.billed_energy_j).abs() < 1e-6,
-            "{label}: {name} ledger billed {:.3} J but VDC records say {:.3} J",
-            t.ledger_energy_j,
-            t.billed_energy_j
-        );
-        assert!(
-            (t.ledger_refund_j - t.refunded_energy_j).abs() < 1e-6,
-            "{label}: {name} ledger refund disagrees"
-        );
-        assert!(
-            matches!(
-                t.resolution,
-                TenantResolution::Completed | TenantResolution::Refunded
-            ),
-            "{label}: {name} did not resolve terminally: {t:?}"
-        );
+    let mut tenants = fleet_tenants(n);
+    for (k, t) in tenants.iter_mut().enumerate() {
+        let k = k as f64;
+        t.spec.waypoints = vec![wp(40.0 + 3.0 * k, -20.0 + 4.0 * k, 40.0)];
     }
+    tenants
 }
 
 fn env_count(name: &str, default: u64) -> u64 {
@@ -145,16 +70,7 @@ fn adaptive_fleet_holds_deadline_and_determinism() {
     let threads = env_threads("ADAPTIVE_THREADS");
     for i in 0..n {
         let seed = 0xADA7_71FE ^ (i.wrapping_mul(0x9E37_79B9));
-        let cfg = FleetConfig {
-            base: BASE,
-            seed,
-            fleet_size: 2,
-            tenants: spread_tenants(3 + (i as usize % 2)),
-            max_waves: 6,
-            max_sim_seconds: MAX_SIM_S,
-            watchdog: None,
-            threads: 1,
-        };
+        let cfg = gate_config(seed, 3 + (i as usize % 2), 1);
         let tenant_names: Vec<String> = cfg.tenants.iter().map(|t| t.vd_name.clone()).collect();
         let mut adaptive = BTreeMap::new();
         adaptive.insert(0usize, AdaptivePlan::generate(seed, 120, &tenant_names));
@@ -188,7 +104,7 @@ fn adaptive_fleet_holds_deadline_and_determinism() {
                 );
             }
         }
-        assert_terminal_outcomes(&a, &label);
+        assert_eq!(a.audit(), Ok(()), "{label}");
         for &t in &threads {
             let cfg_t = FleetConfig { threads: t, ..cfg.clone() };
             let run =
@@ -203,6 +119,7 @@ fn adaptive_fleet_holds_deadline_and_determinism() {
                 run.metrics_digest(),
                 "{label}: threads {t} metrics digest diverged"
             );
+            assert_eq!(run.audit(), Ok(()), "{label}: threads {t}");
         }
     }
 }
@@ -216,14 +133,9 @@ fn adaptive_fleet_holds_deadline_and_determinism() {
 #[test]
 fn synchronized_collusion_breaches_per_tenant_defense_and_hardening_contains_it() {
     let cfg = FleetConfig {
-        base: BASE,
-        seed: 0xC011_0DE5,
         fleet_size: 1,
         tenants: clustered_tenants(3),
-        max_waves: 6,
-        max_sim_seconds: MAX_SIM_S,
-        watchdog: None,
-        threads: 1,
+        ..gate_config(0xC011_0DE5, 0, 1)
     };
     let roster: Vec<String> = cfg.tenants.iter().map(|t| t.vd_name.clone()).collect();
     let mut adaptive = BTreeMap::new();
@@ -262,7 +174,7 @@ fn synchronized_collusion_breaches_per_tenant_defense_and_hardening_contains_it(
         ladder.is_empty(),
         "colluders should stay under every per-tenant threshold: {ladder:?}"
     );
-    assert_terminal_outcomes(&run, "collusion (per-tenant only)");
+    assert_eq!(run.audit(), Ok(()), "collusion (per-tenant only)");
     eprintln!(
         "collusion vs per-tenant-only defense: {misses}/{samples} deadline \
          misses, max {max_us:.1} µs, ladder silent"
@@ -293,7 +205,7 @@ fn synchronized_collusion_breaches_per_tenant_defense_and_hardening_contains_it(
         !ladder.is_empty(),
         "the aggregate cap should have engaged the ladder on the colluders"
     );
-    assert_terminal_outcomes(&run, "collusion (hardened)");
+    assert_eq!(run.audit(), Ok(()), "collusion (hardened)");
     eprintln!(
         "collusion vs hardened defense: {misses}/{samples} deadline misses, \
          max {max_us:.1} µs, ladder steps: {}",
@@ -305,16 +217,7 @@ fn synchronized_collusion_breaches_per_tenant_defense_and_hardening_contains_it(
 /// zero-work — bit-identical to the legacy executor.
 #[test]
 fn empty_adaptive_plan_is_zero_work() {
-    let cfg = FleetConfig {
-        base: BASE,
-        seed: 0xF1EE_ADAF,
-        fleet_size: 2,
-        tenants: spread_tenants(3),
-        max_waves: 6,
-        max_sim_seconds: MAX_SIM_S,
-        watchdog: None,
-        threads: 1,
-    };
+    let cfg = gate_config(0xF1EE_ADAF, 3, 1);
     let faults = FleetFaultPlan::empty();
     let legacy = FleetSpec::new(cfg.clone()).faults(faults.clone()).run().expect("legacy run");
 

@@ -24,109 +24,14 @@
 
 use std::collections::BTreeMap;
 
-use androne::fleet::{
-    FleetAttackPlan, FleetConfig, FleetOutcome, FleetSpec,
-    FleetTenant, TenantResolution,
-};
-use androne::hal::GeoPoint;
+use androne::fleet::{FleetAttackPlan, FleetConfig, FleetSpec, TenantResolution};
 use androne::simkern::latency::profiles;
 use androne::simkern::{ContainerId, FleetFaultPlan, Kernel, KernelConfig};
-use androne::vdc::{VirtualDroneSpec, WaypointSpec};
 use androne::workloads::{run_cyclictest, AttackKind, AttackPlan, ARDUPILOT_DEADLINE_US};
 use androne::AttackDefense;
+use support::gate_config;
 
-const BASE: GeoPoint = GeoPoint::new(43.6084298, -85.8110359, 0.0);
-const MAX_SIM_S: f64 = 240.0;
-
-fn wp(north: f64, east: f64, radius: f64) -> WaypointSpec {
-    let p = BASE.offset_m(north, east, 15.0);
-    WaypointSpec {
-        latitude: p.latitude,
-        longitude: p.longitude,
-        altitude: 15.0,
-        max_radius: radius,
-    }
-}
-
-/// Tenants matching the fleet chaos gate's geometry so the VRP
-/// splits every wave across at least two physical flights.
-fn fleet_tenants(n: usize) -> Vec<FleetTenant> {
-    (0..n)
-        .map(|i| {
-            let k = i as f64;
-            FleetTenant {
-                vd_name: format!("vd{}", i + 1),
-                user: format!("user{}", i + 1),
-                spec: VirtualDroneSpec {
-                    waypoints: vec![
-                        wp(40.0 + 9.0 * k, -30.0 + 14.0 * k, 40.0),
-                        wp(62.0 - 6.0 * k, 25.0 + 11.0 * k, 40.0),
-                    ],
-                    max_duration: 8.0,
-                    energy_allotted: 60_000.0,
-                    continuous_devices: vec![],
-                    waypoint_devices: vec!["camera".into(), "flight-control".into()],
-                    apps: vec![],
-                    app_args: Default::default(),
-                },
-            }
-        })
-        .collect()
-}
-
-fn gate_config(seed: u64, n_tenants: usize) -> FleetConfig {
-    FleetConfig {
-        base: BASE,
-        seed,
-        fleet_size: 2,
-        tenants: fleet_tenants(n_tenants),
-        max_waves: 6,
-        max_sim_seconds: MAX_SIM_S,
-        watchdog: None,
-        threads: 1,
-    }
-}
-
-/// Terminal-outcome invariant (d): every tenant resolves, the ledger
-/// agrees with the VDC records, completion and refunds are exact.
-fn assert_terminal_outcomes(run: &FleetOutcome, label: &str) {
-    for (name, t) in &run.tenants {
-        assert!(
-            (t.ledger_energy_j - t.billed_energy_j).abs() < 1e-6,
-            "{label}: {name} ledger billed {:.3} J but VDC records say {:.3} J",
-            t.ledger_energy_j,
-            t.billed_energy_j
-        );
-        assert!(
-            (t.ledger_refund_j - t.refunded_energy_j).abs() < 1e-6,
-            "{label}: {name} ledger refund disagrees"
-        );
-        match t.resolution {
-            TenantResolution::Completed => {
-                assert_eq!(
-                    t.waypoints_completed, t.waypoints_total,
-                    "{label}: {name} resolved Completed with waypoints unserved"
-                );
-                assert_eq!(
-                    t.refunded_energy_j, 0.0,
-                    "{label}: {name} completed but also refunded"
-                );
-            }
-            TenantResolution::Refunded => {
-                let expected = if t.flights_flown == 0 {
-                    t.energy_allotted_j
-                } else {
-                    t.remaining_energy_j
-                };
-                assert!(
-                    (t.refunded_energy_j - expected).abs() < 1e-6,
-                    "{label}: {name} refunded {:.3} J, expected {expected:.3} J",
-                    t.refunded_energy_j
-                );
-            }
-        }
-    }
-}
+mod support;
 
 /// The gate proper, invariants (a), (c), (d): generated attack plans
 /// with enforcement armed never miss the fast-loop deadline, replay
@@ -139,7 +44,7 @@ fn attacked_fleet_holds_deadline_and_determinism() {
         .unwrap_or(4);
     for i in 0..n {
         let seed = 0xA77A_C4ED ^ (i.wrapping_mul(0x9E37_79B9));
-        let cfg = gate_config(seed, 3 + (i as usize % 2));
+        let cfg = gate_config(seed, 3 + (i as usize % 2), 1);
         let tenant_names: Vec<String> = cfg.tenants.iter().map(|t| t.vd_name.clone()).collect();
         // Attack the first two physical flights of the run; later
         // flights fly clean so the gate also covers the mixed case.
@@ -181,6 +86,7 @@ fn attacked_fleet_holds_deadline_and_determinism() {
                 t.metrics_digest(),
                 "{label}: metrics digest diverged at threads={threads}"
             );
+            assert_eq!(t.audit(), Ok(()), "{label}: threads={threads}");
         }
 
         // (a) the monitor rode every attacked flight and the fast
@@ -219,7 +125,7 @@ fn attacked_fleet_holds_deadline_and_determinism() {
         // (d) every tenant — attacked or not — reached a terminal,
         // ledger-consistent outcome.
         assert_eq!(a.tenants.len(), cfg.tenants.len(), "{label}: tenant lost");
-        assert_terminal_outcomes(&a, &label);
+        assert_eq!(a.audit(), Ok(()), "{label}");
     }
 }
 
@@ -229,16 +135,7 @@ fn attacked_fleet_holds_deadline_and_determinism() {
 /// thesis in one test.
 #[test]
 fn unenforced_flood_breaches_the_fast_loop_and_defense_restores_it() {
-    let cfg = FleetConfig {
-        base: BASE,
-        seed: 0xD05_A77C,
-        fleet_size: 1,
-        tenants: fleet_tenants(1),
-        max_waves: 6,
-        max_sim_seconds: MAX_SIM_S,
-        watchdog: None,
-        threads: 1,
-    };
+    let cfg = FleetConfig { fleet_size: 1, ..gate_config(0xD05_A77C, 1, 1) };
     let plan = AttackPlan::single(AttackKind::BinderFlood { per_tick: 600 }, "vd1", 2, 60);
     let mut flights = BTreeMap::new();
     flights.insert(0usize, plan);
@@ -261,7 +158,7 @@ fn unenforced_flood_breaches_the_fast_loop_and_defense_restores_it() {
         max_us > ARDUPILOT_DEADLINE_US,
         "unenforced worst case {max_us:.1} µs should exceed 2500 µs"
     );
-    assert_terminal_outcomes(&run, "unenforced flood");
+    assert_eq!(run.audit(), Ok(()), "unenforced flood");
 
     let defended = FleetAttackPlan {
         flights,
@@ -283,7 +180,7 @@ fn unenforced_flood_breaches_the_fast_loop_and_defense_restores_it() {
         "attack transitions logged: {:?}",
         run.flights[0].injected
     );
-    assert_terminal_outcomes(&run, "defended flood");
+    assert_eq!(run.audit(), Ok(()), "defended flood");
 }
 
 /// Invariant (b) at the benchmark layer: cyclictest run exactly as
@@ -328,16 +225,7 @@ fn cyclictest_bounds_the_throttled_attack_and_exposes_the_raw_one() {
 /// cleanly — graceful degradation, not a hang.
 #[test]
 fn escalation_ladder_walks_to_revocation_and_still_resolves() {
-    let cfg = FleetConfig {
-        base: BASE,
-        seed: 0x1ADDE2,
-        fleet_size: 1,
-        tenants: fleet_tenants(1),
-        max_waves: 6,
-        max_sim_seconds: MAX_SIM_S,
-        watchdog: None,
-        threads: 1,
-    };
+    let cfg = FleetConfig { fleet_size: 1, ..gate_config(0x1ADDE2, 1, 1) };
     let mut flights = BTreeMap::new();
     flights.insert(
         0usize,
@@ -373,7 +261,7 @@ fn escalation_ladder_walks_to_revocation_and_still_resolves() {
     );
     let (_, misses, max_us) = f.rt_deadline.expect("monitor rode the flight");
     assert_eq!(misses, 0, "enforced even while escalating (max {max_us:.1} µs)");
-    assert_terminal_outcomes(&run, "ladder");
+    assert_eq!(run.audit(), Ok(()), "ladder");
 }
 
 /// Invariant (e): a run with an empty attack plan is bit-identical
@@ -381,7 +269,7 @@ fn escalation_ladder_walks_to_revocation_and_still_resolves() {
 /// so every pre-existing pinned digest stands.
 #[test]
 fn empty_attack_plan_is_zero_work() {
-    let cfg = gate_config(0xF1EE_5EED, 3);
+    let cfg = gate_config(0xF1EE_5EED, 3, 1);
     let faults = FleetFaultPlan::empty();
     let legacy = FleetSpec::new(cfg.clone()).faults(faults.clone()).run().expect("legacy run");
     let attacked = FleetSpec::new(cfg.clone()).faults(faults.clone()).attacks(FleetAttackPlan::none()).run().expect("run");
@@ -414,16 +302,7 @@ fn empty_attack_plan_is_zero_work() {
 #[test]
 fn suspended_tenant_recovers_and_completes_after_going_quiet() {
     let run_at = |threads: usize| {
-        let cfg = FleetConfig {
-            base: BASE,
-            seed: 0x5E1F_CA2E,
-            fleet_size: 1,
-            tenants: fleet_tenants(1),
-            max_waves: 6,
-            max_sim_seconds: MAX_SIM_S,
-            watchdog: None,
-            threads,
-        };
+        let cfg = FleetConfig { fleet_size: 1, ..gate_config(0x5E1F_CA2E, 1, threads) };
         let mut flights = BTreeMap::new();
         flights.insert(
             0usize,
@@ -468,7 +347,7 @@ fn suspended_tenant_recovers_and_completes_after_going_quiet() {
     );
     let (_, misses, max_us) = f.rt_deadline.expect("monitor rode the flight");
     assert_eq!(misses, 0, "enforced throughout recovery (max {max_us:.1} µs)");
-    assert_terminal_outcomes(&run, "recovery");
+    assert_eq!(run.audit(), Ok(()), "recovery");
     for threads in [4usize, 8] {
         let other = run_at(threads);
         assert_eq!(
@@ -481,5 +360,6 @@ fn suspended_tenant_recovers_and_completes_after_going_quiet() {
             other.metrics_digest(),
             "threads {threads}: metrics digest diverged"
         );
+        assert_eq!(other.audit(), Ok(()), "recovery, threads {threads}");
     }
 }

@@ -24,29 +24,18 @@
 //! release gate in `scripts/chaos.sh --fleet` runs the same count).
 
 use androne::android::DeviceClass;
-use androne::fleet::{FleetConfig, FleetOutcome, FleetSpec, FleetTenant, TenantResolution};
-use androne::hal::GeoPoint;
+use androne::fleet::{FleetConfig, FleetOutcome, FleetSpec, TenantResolution};
 use androne::mavlink::{deg_to_e7, Message};
 use androne::sanitizer::{TickHashes, Trace};
 use androne::simkern::{
     CloudFaultEvent, CloudFaultKind, FaultEvent, FaultKind, FaultPlan, FleetFaultPlan,
 };
-use androne::vdc::{VirtualDroneSpec, WatchdogConfig, WaypointSpec};
+use androne::vdc::{VirtualDroneSpec, WatchdogConfig};
 use androne::{execute_flight_probed, Drone, EndReason, FaultInjector, FlightLog, FnProbe, ProbeStack};
 use rand::RngCore;
+use support::{gate_config, wp, BASE, MAX_SIM_S};
 
-const BASE: GeoPoint = GeoPoint::new(43.6084298, -85.8110359, 0.0);
-const MAX_SIM_S: f64 = 240.0;
-
-fn wp(north: f64, east: f64, radius: f64) -> WaypointSpec {
-    let p = BASE.offset_m(north, east, 15.0);
-    WaypointSpec {
-        latitude: p.latitude,
-        longitude: p.longitude,
-        altitude: 15.0,
-        max_radius: radius,
-    }
-}
+mod support;
 
 /// The PR 3 chaos-gate scenario spec, bit-for-bit.
 fn pr3_spec() -> VirtualDroneSpec {
@@ -77,48 +66,11 @@ fn pr3_plan() -> androne::planner::FlightPlan {
     }
 }
 
-/// Tenants for a fleet run: two waypoints each, with energy
-/// allotments sized so the VRP *must* split the wave across at least
-/// two physical flights (3 × 60 kJ of service energy exceeds one
-/// pack's ~160 kJ plannable budget).
-fn fleet_tenants(n: usize) -> Vec<FleetTenant> {
-    (0..n)
-        .map(|i| {
-            let k = i as f64;
-            FleetTenant {
-                vd_name: format!("vd{}", i + 1),
-                user: format!("user{}", i + 1),
-                spec: VirtualDroneSpec {
-                    waypoints: vec![
-                        wp(40.0 + 9.0 * k, -30.0 + 14.0 * k, 40.0),
-                        wp(62.0 - 6.0 * k, 25.0 + 11.0 * k, 40.0),
-                    ],
-                    max_duration: 8.0,
-                    energy_allotted: 60_000.0,
-                    continuous_devices: vec![],
-                    waypoint_devices: vec!["camera".into(), "flight-control".into()],
-                    apps: vec![],
-                    app_args: Default::default(),
-                },
-            }
-        })
-        .collect()
-}
-
-fn gate_config(seed: u64, n_tenants: usize) -> FleetConfig {
-    FleetConfig {
-        base: BASE,
-        seed,
-        fleet_size: 2,
-        tenants: fleet_tenants(n_tenants),
-        max_waves: 6,
-        max_sim_seconds: MAX_SIM_S,
-        watchdog: None,
-        threads: 1,
-    }
-}
-
-/// Invariants (c) and (d) plus per-flight sanity on one run.
+/// Invariants (c) and (d) plus per-flight sanity on one run. The
+/// tenant ledger — energy conservation, billing agreement, and each
+/// resolution's settlement — is `FleetOutcome::audit`'s; time
+/// allotments are not in the outcome, so their conservation is
+/// checked here against the config.
 fn assert_run_invariants(cfg: &FleetConfig, run: &FleetOutcome, label: &str) {
     assert_eq!(
         run.tenants.len(),
@@ -134,67 +86,16 @@ fn assert_run_invariants(cfg: &FleetConfig, run: &FleetOutcome, label: &str) {
         assert!(f.total_energy_j >= 0.0, "{label}: negative energy");
         assert!(!f.owners.is_empty(), "{label}: flight without tenants");
     }
-    for (name, t) in &run.tenants {
-        // (c) conservation: the allotment telescopes exactly across
-        // every flight (resume carries the remainder), and the
-        // billing ledger agrees with the VDC-side accumulation.
-        if t.flights_flown > 0 {
-            let energy_gap = t.energy_allotted_j - t.billed_energy_j - t.remaining_energy_j;
-            assert!(
-                energy_gap.abs() < 1e-6,
-                "{label}: {name} energy not conserved: allotted {:.3} = billed {:.3} + remaining {:.3} (gap {energy_gap:.9})",
-                t.energy_allotted_j,
-                t.billed_energy_j,
-                t.remaining_energy_j
-            );
-            let time_allotted = cfg
-                .tenants
-                .iter()
-                .find(|x| &x.vd_name == name)
-                .map(|x| x.spec.max_duration)
-                .unwrap_or(0.0);
-            let time_gap = time_allotted - t.billed_time_s - t.remaining_time_s;
+    assert_eq!(run.audit(), Ok(()), "{label}");
+    for t in &cfg.tenants {
+        let out = &run.tenants[&t.vd_name];
+        if out.flights_flown > 0 {
+            let time_gap = t.spec.max_duration - out.billed_time_s - out.remaining_time_s;
             assert!(
                 time_gap.abs() < 1e-6,
-                "{label}: {name} time not conserved (gap {time_gap:.9})"
+                "{label}: {} time not conserved (gap {time_gap:.9})",
+                t.vd_name
             );
-        }
-        assert!(
-            (t.ledger_energy_j - t.billed_energy_j).abs() < 1e-6,
-            "{label}: {name} ledger billed {:.3} J but the VDC records say {:.3} J",
-            t.ledger_energy_j,
-            t.billed_energy_j
-        );
-        assert!(
-            (t.ledger_refund_j - t.refunded_energy_j).abs() < 1e-6,
-            "{label}: {name} ledger refund disagrees"
-        );
-        // (d) resolution: completed missions served every waypoint;
-        // everything else was terminally refunded its unserved
-        // remainder (the full allotment if it never flew).
-        match t.resolution {
-            TenantResolution::Completed => {
-                assert_eq!(
-                    t.waypoints_completed, t.waypoints_total,
-                    "{label}: {name} resolved Completed with waypoints unserved"
-                );
-                assert_eq!(
-                    t.refunded_energy_j, 0.0,
-                    "{label}: {name} completed but also refunded"
-                );
-            }
-            TenantResolution::Refunded => {
-                let expected = if t.flights_flown == 0 {
-                    t.energy_allotted_j
-                } else {
-                    t.remaining_energy_j
-                };
-                assert!(
-                    (t.refunded_energy_j - expected).abs() < 1e-6,
-                    "{label}: {name} refunded {:.3} J, expected {expected:.3} J",
-                    t.refunded_energy_j
-                );
-            }
         }
     }
 }
@@ -210,7 +111,7 @@ fn fleet_gate_holds_invariants_across_generated_plans() {
         .unwrap_or(8);
     for i in 0..n {
         let seed = 0xF1EE_5EED ^ (i.wrapping_mul(0x9E37_79B9));
-        let cfg = gate_config(seed, 3 + (i as usize % 2));
+        let cfg = gate_config(seed, 3 + (i as usize % 2), 1);
         let tenant_names: Vec<String> = cfg.tenants.iter().map(|t| t.vd_name.clone()).collect();
         let faults = FleetFaultPlan::generate(seed, 3, &tenant_names, 150);
         let label = format!(
@@ -252,6 +153,7 @@ fn fleet_gate_holds_invariants_across_generated_plans() {
                 t.metrics_digest(),
                 "{label}: metrics digest diverged at threads={threads}"
             );
+            assert_eq!(t.audit(), Ok(()), "{label}: threads={threads}");
         }
 
         // Scale: every gate plan must exercise a real fleet.
@@ -346,7 +248,7 @@ fn empty_fleet_plan_is_bit_identical_to_pr3_baseline() {
 /// the tenants still complete.
 #[test]
 fn portal_outage_defers_the_wave_and_orders_still_complete() {
-    let cfg = gate_config(0x90A7A1, 3);
+    let cfg = gate_config(0x90A7A1, 3, 1);
     let faults = FleetFaultPlan {
         seed: 0,
         flights: Vec::new(),
@@ -378,6 +280,23 @@ fn portal_outage_defers_the_wave_and_orders_still_complete() {
     );
 }
 
+/// The generated gate plans all complete, so this scenario drives the
+/// refund path: a one-wave budget lets each tenant serve one of its two
+/// waypoints, and the end-of-run sweep refunds the unserved remainder.
+/// The ledger must settle at every thread width.
+#[test]
+fn wave_budget_sweep_refunds_the_unserved_remainder() {
+    for threads in [1usize, 4] {
+        let cfg = FleetConfig { max_waves: 1, ..gate_config(0x5EEB, 3, threads) };
+        let run = FleetSpec::new(cfg.clone()).run().expect("fleet run");
+        assert_run_invariants(&cfg, &run, &format!("wave budget, threads={threads}"));
+        for (name, t) in &run.tenants {
+            assert_eq!(t.resolution, TenantResolution::Refunded, "{name}");
+            assert!(t.flights_flown == 1 && t.refunded_energy_j > 0.0, "{name}: {t:?}");
+        }
+    }
+}
+
 /// Cross-flight resume end-to-end: a long link partition latches the
 /// failsafe RTL on flight 0, the interrupted virtual drone is saved
 /// with its remaining allotment, a VDR outage defers the resume one
@@ -385,16 +304,7 @@ fn portal_outage_defers_the_wave_and_orders_still_complete() {
 /// time conserved across all of it.
 #[test]
 fn link_partition_interrupts_then_vdr_heals_and_the_drone_resumes() {
-    let cfg = FleetConfig {
-        base: BASE,
-        seed: 0x2E50BE,
-        fleet_size: 1,
-        tenants: fleet_tenants(1),
-        max_waves: 6,
-        max_sim_seconds: MAX_SIM_S,
-        watchdog: None,
-        threads: 1,
-    };
+    let cfg = FleetConfig { fleet_size: 1, ..gate_config(0x2E50BE, 1, 1) };
     let faults = FleetFaultPlan {
         seed: 0,
         flights: vec![FaultPlan {

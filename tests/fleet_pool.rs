@@ -15,64 +15,14 @@
 //!   and defers its tenants; the run completes and every other
 //!   tenant resolves normally, at every thread count.
 
-use androne::fleet::{FleetConfig, FleetOutcome, FleetSpec, FleetTenant, TenantResolution};
-use androne::hal::GeoPoint;
+use androne::fleet::{FleetOutcome, FleetSpec};
 use androne::pool::{WorkerError, WorkerPool};
 use androne::simkern::{FleetFaultPlan, StateHasher};
 use androne::EndReason;
-use androne::vdc::{VirtualDroneSpec, WaypointSpec};
 use proptest::prelude::*;
+use support::gate_config;
 
-const BASE: GeoPoint = GeoPoint::new(43.6084298, -85.8110359, 0.0);
-const MAX_SIM_S: f64 = 240.0;
-
-fn wp(north: f64, east: f64, radius: f64) -> WaypointSpec {
-    let p = BASE.offset_m(north, east, 15.0);
-    WaypointSpec {
-        latitude: p.latitude,
-        longitude: p.longitude,
-        altitude: 15.0,
-        max_radius: radius,
-    }
-}
-
-/// The chaos gate's tenant set, bit-for-bit (see `fleet_chaos.rs`).
-fn fleet_tenants(n: usize) -> Vec<FleetTenant> {
-    (0..n)
-        .map(|i| {
-            let k = i as f64;
-            FleetTenant {
-                vd_name: format!("vd{}", i + 1),
-                user: format!("user{}", i + 1),
-                spec: VirtualDroneSpec {
-                    waypoints: vec![
-                        wp(40.0 + 9.0 * k, -30.0 + 14.0 * k, 40.0),
-                        wp(62.0 - 6.0 * k, 25.0 + 11.0 * k, 40.0),
-                    ],
-                    max_duration: 8.0,
-                    energy_allotted: 60_000.0,
-                    continuous_devices: vec![],
-                    waypoint_devices: vec!["camera".into(), "flight-control".into()],
-                    apps: vec![],
-                    app_args: Default::default(),
-                },
-            }
-        })
-        .collect()
-}
-
-fn gate_config(seed: u64, n_tenants: usize, threads: usize) -> FleetConfig {
-    FleetConfig {
-        base: BASE,
-        seed,
-        fleet_size: 2,
-        tenants: fleet_tenants(n_tenants),
-        max_waves: 6,
-        max_sim_seconds: MAX_SIM_S,
-        watchdog: None,
-        threads,
-    }
-}
+mod support;
 
 /// Fleet digests of the chaos gate's 8 generated plans: (gate index,
 /// faulted-run digest, no-fault-baseline digest). First captured from
@@ -218,17 +168,8 @@ fn worker_panic_is_contained_at_every_width() {
             run.cloud_log.iter().any(|l| l.contains("worker panicked")),
             "threads={threads}: containment left no log line"
         );
-        for (name, t) in &run.tenants {
-            assert_eq!(
-                t.resolution,
-                TenantResolution::Refunded,
-                "threads={threads}: {name} not terminally resolved"
-            );
-            assert_eq!(
-                t.refunded_energy_j, t.energy_allotted_j,
-                "threads={threads}: {name} refund does not cover the unserved allotment"
-            );
-        }
+        // Nothing flew, so every tenant is refunded its whole allotment.
+        assert_eq!(run.audit(), Ok(()), "threads={threads}");
     }
 }
 
@@ -247,16 +188,8 @@ fn panic_past_the_first_flight_spares_the_flown_tenants() {
     assert!(!chaos.flights.is_empty(), "flight 0 should still fly");
     assert_eq!(chaos.flights[0].trace_digest, clean.flights[0].trace_digest);
     assert!(chaos.cloud_log.iter().any(|l| l.contains("worker panicked")));
-    // Every tenant still resolves terminally.
-    for (name, t) in &chaos.tenants {
-        assert!(
-            matches!(
-                t.resolution,
-                TenantResolution::Completed | TenantResolution::Refunded
-            ),
-            "{name} left unresolved"
-        );
-    }
+    // Every tenant still settles.
+    assert_eq!(chaos.audit(), Ok(()));
 }
 
 /// Completion order is deliberately scrambled with real sleeps:
