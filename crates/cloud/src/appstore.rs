@@ -58,6 +58,18 @@ impl AppStore {
         self.listings.get(package)
     }
 
+    /// The manifests of an order's apps, given as the portal writes
+    /// them into the spec (`<package>.apk`). Apps no longer in the
+    /// store are skipped.
+    pub fn manifests(&self, apks: &[String]) -> Vec<AndroneManifest> {
+        apks.iter()
+            .filter_map(|apk| {
+                let package = apk.strip_suffix(".apk").unwrap_or(apk);
+                self.get(package).map(|l| l.manifest.clone())
+            })
+            .collect()
+    }
+
     /// Browses all listings.
     pub fn browse(&self) -> impl Iterator<Item = &AppListing> {
         self.listings.values()

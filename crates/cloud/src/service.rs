@@ -2,8 +2,9 @@
 //!
 //! Ties together the portal, app store, VDR, storage, and billing,
 //! and drives the workflow of paper Figure 4: orders → flight
-//! planning (via the Dorling VRP) → per-drone flight plans →
-//! post-flight offload and notification.
+//! planning (via the Dorling VRP) → per-drone flight plans. The
+//! post-flight offload, billing and notification run through
+//! [`crate::FallibleCloud::try_complete_flight`].
 
 use androne_energy::{BatteryPack, BillingLedger, DorlingModel};
 use androne_hal::GeoPoint;
@@ -174,30 +175,6 @@ impl CloudService {
             message,
         });
     }
-
-    /// Post-flight: offloads marked files, bills energy, and emails
-    /// the user their links (paper Figure 4's final steps).
-    pub fn complete_flight(
-        &mut self,
-        user: &str,
-        flight_id: u64,
-        energy_used_j: f64,
-        files: Vec<(String, bytes::Bytes)>,
-    ) {
-        self.billing.charge_energy(user, energy_used_j);
-        let mut links = Vec::new();
-        for (path, data) in files {
-            self.billing
-                .charge_storage(user, data.len() as f64 / 1e9);
-            links.push(self.storage.offload(user, flight_id, path, data));
-        }
-        let message = if links.is_empty() {
-            format!("Flight {flight_id} complete.")
-        } else {
-            format!("Flight {flight_id} complete. Your files: {}", links.join(", "))
-        };
-        self.notify(user, NotificationKind::Email, message);
-    }
 }
 
 impl Default for CloudService {
@@ -209,6 +186,7 @@ impl Default for CloudService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::facade::FallibleCloud;
     use crate::portal::{AppSelection, OrderRequest};
     use androne_vdc::WaypointSpec;
 
@@ -266,16 +244,20 @@ mod tests {
             "operating window emailed"
         );
 
-        let fid = cloud.new_flight_id();
-        cloud.complete_flight(
+        // Post-flight: offload, bill, and email the links.
+        let mut cloud = FallibleCloud::from_service(cloud);
+        let fid = cloud.inner.new_flight_id();
+        cloud.try_complete_flight(
             "alice",
             fid,
             12_000.0,
             vec![("/data/out/ortho.tif".into(), bytes::Bytes::from_static(b"t"))],
         );
-        assert!(cloud.storage.fetch("alice", "/data/out/ortho.tif").is_some());
-        assert!(cloud.billing.bill("alice").energy_j > 0.0);
+        let offloaded = cloud.inner.storage.fetch("alice", "/data/out/ortho.tif");
+        assert!(offloaded.is_some());
+        assert!(cloud.inner.billing.bill("alice").energy_j > 0.0);
         assert!(cloud
+            .inner
             .notifications
             .last()
             .unwrap()

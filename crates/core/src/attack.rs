@@ -30,8 +30,8 @@ use std::collections::BTreeMap;
 use androne_binder::{AggregateQos, TenantQos};
 use androne_obs::{Subsystem, TraceEvent};
 use androne_simkern::latency::profiles;
-use androne_simkern::{rt_monitor_stream_rng, ClientId, ContainerId, ResourceKind};
-use androne_workloads::{AttackClock, AttackKind, AttackPlan, ARDUPILOT_DEADLINE_US};
+use androne_simkern::{rt_monitor_stream_rng, ArmClock, ClientId, ContainerId, ResourceKind};
+use androne_workloads::{AttackKind, AttackPlan, ARDUPILOT_DEADLINE_US};
 use rand::rngs::SmallRng;
 
 use crate::drone::Drone;
@@ -318,7 +318,7 @@ pub(crate) fn observe_enforcement(
 /// Applies an attack plan to a drone, one simulated second at a time.
 /// See the module docs for the drive/enforcement model.
 pub struct AttackInjector {
-    clock: AttackClock,
+    clock: ArmClock<AttackPlan>,
     defense: Option<AttackDefense>,
     actions: Vec<String>,
     /// Ladder state per attacker name; absent = not yet budgeted.
@@ -332,7 +332,7 @@ impl AttackInjector {
     /// Wraps a plan. `defense: None` runs the attacks unthrottled.
     pub fn new(plan: AttackPlan, defense: Option<AttackDefense>) -> Self {
         AttackInjector {
-            clock: AttackClock::new(plan),
+            clock: ArmClock::new(plan),
             defense,
             actions: Vec::new(),
             ladder: LadderState::default(),

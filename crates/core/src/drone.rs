@@ -327,6 +327,39 @@ impl Drone {
             ResourceLimits::UNLIMITED,
         )?;
         self.runtime.start(name)?;
+        self.boot_vdrone(name, spec, manifests, None)
+    }
+
+    /// Resumes a stored virtual drone from a VDR archive.
+    pub fn deploy_from_archive(
+        &mut self,
+        archive: &ContainerArchive,
+        spec: VirtualDroneSpec,
+        manifests: &[androne_android::AndroneManifest],
+        app_state: &str,
+    ) -> Result<(), DroneError> {
+        self.runtime
+            .create_from_archive(archive, ResourceLimits::UNLIMITED)?;
+        self.runtime.start(&archive.name)?;
+        // Boot proceeds exactly like a fresh deployment (containers
+        // are stateless; state lives in the filesystem + bundles).
+        self.boot_vdrone(&archive.name, spec, manifests, Some(app_state))
+    }
+
+    /// The deploy body both entry points share, run on the started
+    /// container `name`: boots its Android instance, installs and
+    /// grants its apps, registers it with the VDC, and attaches its
+    /// VFC. A fresh deploy (`restored == None`) records each install
+    /// in the container image so the diff travels to the VDR; a
+    /// restored one already carries them and gets its apps' saved
+    /// state back instead.
+    fn boot_vdrone(
+        &mut self,
+        name: &str,
+        spec: VirtualDroneSpec,
+        manifests: &[androne_android::AndroneManifest],
+        restored: Option<&str>,
+    ) -> Result<(), DroneError> {
         let ctr = self
             .runtime
             .get(name)
@@ -356,13 +389,16 @@ impl Drone {
             for perm in &manifest.permissions {
                 am.grant(&manifest.package, perm.device.android_permission());
             }
-            // Record the install in the container image (so the diff
-            // travels to the VDR).
-            self.runtime
-                .get_mut(name)
-                .ok_or(DroneError::BootInvariant("vdrone container exists"))?
-                .fs
-                .write(format!("/data/app/{}.apk", manifest.package), "apk-bytes");
+            if restored.is_none() {
+                self.runtime
+                    .get_mut(name)
+                    .ok_or(DroneError::BootInvariant("vdrone container exists"))?
+                    .fs
+                    .write(format!("/data/app/{}.apk", manifest.package), "apk-bytes");
+            }
+        }
+        if let Some(app_state) = restored {
+            apps.deserialize_saved_state(app_state);
         }
 
         // VDC registration and VFC attachment.
@@ -383,77 +419,6 @@ impl Drone {
             name.to_string(),
             DeployedVdrone {
                 name: name.to_string(),
-                container,
-                instance,
-                apps,
-                sdk,
-            },
-        );
-        Ok(())
-    }
-
-    /// Resumes a stored virtual drone from a VDR archive.
-    pub fn deploy_from_archive(
-        &mut self,
-        archive: &ContainerArchive,
-        spec: VirtualDroneSpec,
-        manifests: &[androne_android::AndroneManifest],
-        app_state: &str,
-    ) -> Result<(), DroneError> {
-        let name = archive.name.clone();
-        self.runtime
-            .create_from_archive(archive, ResourceLimits::UNLIMITED)?;
-        self.runtime.start(&name)?;
-        // Boot proceeds exactly like a fresh deployment (containers
-        // are stateless; state lives in the filesystem + bundles).
-        let ctr = self
-            .runtime
-            .get(&name)
-            .ok_or(DroneError::BootInvariant("restored container just created"))?;
-        let container = ctr.id;
-        let device_ns = ctr.namespaces.device_ns;
-        let instance = {
-            let mut k = self.kernel.borrow_mut();
-            boot_android_instance(
-                &mut k,
-                &mut self.driver,
-                container,
-                device_ns,
-                &SystemServerConfig::virtual_drone(),
-                None,
-                self.vdc.borrow().access(),
-            )?
-        };
-        let mut apps = AppRegistry::new();
-        for manifest in manifests {
-            let euid = apps.install(manifest.clone());
-            let mut am = instance.activity_manager.borrow_mut();
-            am.register_app(&manifest.package, euid);
-            for perm in &manifest.permissions {
-                am.grant(&manifest.package, perm.device.android_permission());
-            }
-        }
-        apps.deserialize_saved_state(app_state);
-
-        self.vdc.borrow_mut().register(&name, container, spec.clone());
-        let first_unvisited = spec.waypoints[0];
-        let fence = Geofence::new(first_unvisited.position(), first_unvisited.max_radius);
-        let whitelist = if spec.wants_flight_control() {
-            CommandWhitelist::standard()
-        } else {
-            CommandWhitelist::guided_only()
-        };
-        self.proxy.add_vfc_client(Vfc::new(
-            &name,
-            whitelist,
-            fence,
-            !spec.continuous_devices.is_empty(),
-        ));
-        let sdk = AndroneSdk::new(self.vdc.clone(), &name);
-        self.vdrones.insert(
-            name.clone(),
-            DeployedVdrone {
-                name,
                 container,
                 instance,
                 apps,

@@ -47,7 +47,8 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
-use androne_cloud::{FallibleCloud, PlacedOrder, SavedVirtualDrone};
+use androne_android::AndroneManifest;
+use androne_cloud::{FallibleCloud, NotificationKind, PlacedOrder, SavedVirtualDrone};
 use androne_hal::GeoPoint;
 use androne_obs::{MetricsRegistry, ObsHandle, Subsystem, TraceSegment};
 use androne_planner::FlightPlan;
@@ -58,7 +59,7 @@ use androne_workloads::{AdaptivePlan, AttackPlan};
 use crate::adaptive::AdaptiveInjector;
 use crate::attack::{AttackDefense, AttackInjector, RtMonitor};
 use crate::drone::{Drone, DroneError, FlightUsage};
-use crate::flight_exec::{execute_flight_probed, EndReason, FlightLog};
+use crate::flight_exec::{execute_flight_probed, EndReason};
 use crate::injector::FaultInjector;
 use crate::ledger::{Landing, TenantBook};
 use crate::pool::{WorkerError, WorkerPool};
@@ -323,19 +324,24 @@ impl FleetAttackPlan {
     }
 }
 
+/// The fleet's ledger: each line's payload is the tenant's ordered
+/// apps, resolved against the app store once, when the line opens.
+type FleetBook = TenantBook<Vec<AndroneManifest>>;
+
 /// The book's id for `name`. Ids follow `vd_name` order, so the
 /// lines are sorted by name.
-fn tenant_id(book: &TenantBook<()>, name: &str) -> Option<usize> {
+fn tenant_id(book: &FleetBook, name: &str) -> Option<usize> {
     book.lines().binary_search_by(|l| (*l.name).cmp(name)).ok()
 }
 
 /// Where a virtual drone aboard a flight comes from: a leased VDR
-/// checkout (resume) or the tenant's fresh order spec. Captured at
-/// partition time so the island owns everything it deploys.
+/// checkout (resume) or the tenant's fresh order spec, each with the
+/// apps to install. Captured at partition time so the island owns
+/// everything it deploys.
 #[derive(Clone)]
 enum OwnerSource {
-    Resume(SavedVirtualDrone),
-    Fresh(VirtualDroneSpec),
+    Resume(SavedVirtualDrone, Vec<AndroneManifest>),
+    Fresh(VirtualDroneSpec, Vec<AndroneManifest>),
 }
 
 /// One plan's fate for the current wave, decided at partition time
@@ -434,11 +440,11 @@ fn run_island(item: PlanWork, panic_flight: Option<usize>) -> Result<IslandVerdi
     let mut drone = Drone::boot(item.base, item.seed)?;
     for (owner, source) in item.owners.iter().zip(item.sources.iter()) {
         let deployed = match source {
-            OwnerSource::Resume(saved) => {
+            OwnerSource::Resume(saved, apps) => {
                 let spec = saved.resume_spec().unwrap_or_else(|| saved.spec.clone());
-                drone.deploy_from_archive(&saved.archive, spec, &[], &saved.app_state).map(drop)
+                drone.deploy_from_archive(&saved.archive, spec, apps, &saved.app_state)
             }
-            OwnerSource::Fresh(spec) => drone.deploy_vdrone(owner, spec.clone(), &[]).map(drop),
+            OwnerSource::Fresh(spec, apps) => drone.deploy_vdrone(owner, spec.clone(), apps),
         };
         if let Err(e) = deployed {
             return Ok(IslandVerdict::Scrapped {
@@ -490,23 +496,9 @@ fn run_island(item: PlanWork, panic_flight: Option<usize>) -> Result<IslandVerdi
             drone.supervised_restart_vdrone(owner)?;
         }
         let usage = drone.flight_usage(owner);
-        // Revocation shows up as a WaypointEnd when it fired at an
-        // active waypoint, or only as the VDC record flag when the
-        // QoS ladder revoked the tenant mid-transit.
-        let revoked = outcome.log.iter().any(|e| {
-            matches!(
-                e,
-                FlightLog::WaypointEnd {
-                    owner: o,
-                    reason: EndReason::WatchdogRevoked,
-                    ..
-                } if o == owner
-            )
-        }) || drone
-            .vdc
-            .borrow()
-            .record(owner)
-            .is_some_and(|r| r.revoked);
+        // The VDC record flag marks every revocation, at a waypoint or
+        // mid-transit, and survives a crash and restart.
+        let revoked = drone.vdc.borrow().record(owner).is_some_and(|r| r.revoked);
         let (archive, app_state) = drone.save_vdrone(owner)?;
         per_owner.push(OwnerPost {
             owner: owner.clone(),
@@ -618,21 +610,24 @@ impl FleetSpec {
             &self.faults,
             &self.attacks,
             self.panic_flight,
-            self.vdr_shards,
+            &mut FallibleCloud::with_shards(self.vdr_shards),
         )
     }
 }
 
-fn execute_fleet_inner(
+/// Runs the lifecycle against `cloud`, which keeps every cloud-side
+/// effect of the run: billing, the VDR, storage, notifications. Each
+/// tenant's ordered apps resolve against `cloud`'s app store when its
+/// ledger line opens.
+pub(crate) fn execute_fleet_inner(
     cfg: &FleetConfig,
     faults: &FleetFaultPlan,
     attacks: &FleetAttackPlan,
     panic_flight: Option<usize>,
-    vdr_shards: usize,
+    cloud: &mut FallibleCloud,
 ) -> Result<FleetOutcome, DroneError> {
     let pool = WorkerPool::new(cfg.threads);
     let mut fleet_metrics = MetricsRegistry::new();
-    let mut cloud = FallibleCloud::with_shards(vdr_shards.max(1));
     // Cloud-side observability: one attached handle for the whole
     // run, stamped to wave boundaries (1 simulated second per wave)
     // so degraded-mode trace records order by wave.
@@ -643,7 +638,8 @@ fn execute_fleet_inner(
         cfg.tenants.iter().map(|t| (t.vd_name.as_str(), t)).collect();
     let mut book = TenantBook::with_capacity(by_name.len());
     for (name, t) in by_name {
-        book.open(Arc::from(name), t.user.clone(), t.spec.clone(), ());
+        let apps = cloud.inner.app_store.manifests(&t.spec.apps);
+        book.open(Arc::from(name), t.user.clone(), t.spec.clone(), apps);
     }
 
     let mut flights: Vec<FlightRecord> = Vec::new();
@@ -705,7 +701,7 @@ fn execute_fleet_inner(
             }
         }
         for id in unresumable {
-            book.refund(id, &mut cloud);
+            book.refund(id, cloud);
         }
         if orders.is_empty() {
             continue;
@@ -754,19 +750,20 @@ fn execute_fleet_inner(
                 let mut sources: Vec<OwnerSource> = Vec::new();
                 let mut flyable = true;
                 for o in &owners {
-                    if let Some(saved) = saved_map.get(o) {
-                        sources.push(OwnerSource::Resume(saved.clone()));
-                    } else {
-                        match tenant_id(&book, o).map(|id| book.line(id)) {
-                            Some(l) if l.flights_flown == 0 && l.resolution().is_none() => {
-                                sources.push(OwnerSource::Fresh((*l.spec).clone()));
-                            }
-                            _ => {
-                                flyable = false;
-                                break;
-                            }
+                    let line = tenant_id(&book, o).map(|id| book.line(id));
+                    let source = match (saved_map.get(o), line) {
+                        (Some(saved), Some(l)) => {
+                            OwnerSource::Resume(saved.clone(), l.payload.clone())
                         }
-                    }
+                        (None, Some(l)) if l.flights_flown == 0 && l.resolution().is_none() => {
+                            OwnerSource::Fresh((*l.spec).clone(), l.payload.clone())
+                        }
+                        _ => {
+                            flyable = false;
+                            break;
+                        }
+                    };
+                    sources.push(source);
                 }
                 if flyable {
                     claimed.extend(owners.iter().cloned());
@@ -860,7 +857,7 @@ fn execute_fleet_inner(
                         // — release every lease, defer the tenants,
                         // keep the run alive.
                         for (owner, source) in owners.iter().zip(sources.iter()) {
-                            if matches!(source, OwnerSource::Resume(_)) {
+                            if matches!(source, OwnerSource::Resume(..)) {
                                 saved_map.remove(owner);
                                 cloud.inner.vdr.abandon(owner);
                             }
@@ -892,7 +889,7 @@ fn execute_fleet_inner(
                         for (i, (owner, source)) in
                             owners.iter().zip(sources.iter()).enumerate()
                         {
-                            if i <= failpos && matches!(source, OwnerSource::Resume(_)) {
+                            if i <= failpos && matches!(source, OwnerSource::Resume(..)) {
                                 saved_map.remove(owner);
                                 cloud.inner.vdr.abandon(owner);
                             }
@@ -903,7 +900,7 @@ fn execute_fleet_inner(
                     }
                     Ok(Ok(IslandVerdict::Flew(island))) => {
                         for (owner, source) in owners.iter().zip(sources.iter()) {
-                            if matches!(source, OwnerSource::Resume(_)) {
+                            if matches!(source, OwnerSource::Resume(..)) {
                                 saved_map.remove(owner);
                                 cloud.inner.vdr.commit(owner);
                             }
@@ -913,6 +910,16 @@ fn execute_fleet_inner(
                             let Some(id) = tenant_id(&book, &post.owner) else {
                                 return Err(DroneError::UnknownVirtualDrone(post.owner));
                             };
+                            // The launch notice (paper Section 2: a text
+                            // with access information), then the bill.
+                            cloud.inner.notify(
+                                &book.line(id).user,
+                                NotificationKind::Text,
+                                format!(
+                                    "Virtual drone {} is launching; connect via your per-container VPN.",
+                                    post.owner
+                                ),
+                            );
                             let usage = post.usage;
                             cloud.try_complete_flight(
                                 &book.line(id).user,
@@ -945,7 +952,7 @@ fn execute_fleet_inner(
                                 // watchdog revoked this drone, so it
                                 // is not rescheduled; its unserved
                                 // remainder is refunded.
-                                book.refund(id, &mut cloud);
+                                book.refund(id, cloud);
                             }
                         }
 
@@ -980,7 +987,7 @@ fn execute_fleet_inner(
     // the VDR: the customer's drone itself is never lost.
     for id in 0..book.lines().len() {
         if book.line(id).resolution().is_none() {
-            book.refund(id, &mut cloud);
+            book.refund(id, cloud);
         }
     }
     let tenants = book.outcomes(&cloud.inner.billing);

@@ -1,6 +1,6 @@
 //! The fault injector: drives a [`FaultPlan`] against a live drone.
 //!
-//! One injector wraps one plan's [`FaultClock`] and is called once
+//! One injector wraps one plan's [`ArmClock`] and is called once
 //! per simulated second (from the flight loop's observer hook) with
 //! the tick index and the drone. At each tick it applies every fault
 //! transition scheduled there — arming faults into the subsystem the
@@ -17,7 +17,7 @@
 use androne_binder::BinderFaultInjection;
 use androne_hal::SensorFaultMode;
 use androne_obs::{Subsystem, TraceEvent};
-use androne_simkern::{FaultClock, FaultKind, FaultPlan, LinkModel, SensorChannel};
+use androne_simkern::{ArmClock, FaultKind, FaultPlan, LinkModel, SensorChannel};
 use rand::Rng;
 
 use crate::drone::Drone;
@@ -25,7 +25,7 @@ use crate::probe::FlightProbe;
 
 /// Applies a fault plan to a drone, one simulated second at a time.
 pub struct FaultInjector {
-    clock: FaultClock,
+    clock: ArmClock<FaultPlan>,
     actions: Vec<String>,
 }
 
@@ -33,7 +33,7 @@ impl FaultInjector {
     /// Wraps a plan.
     pub fn new(plan: FaultPlan) -> Self {
         FaultInjector {
-            clock: FaultClock::new(plan),
+            clock: ArmClock::new(plan),
             actions: Vec::new(),
         }
     }

@@ -15,6 +15,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use androne_android::AndroneManifest;
 use androne_cloud::{FallibleCloud, SaveReason, SavedVirtualDrone, VirtualDroneRepository};
 use androne_container::ContainerArchive;
 use androne_energy::BillingLedger;
@@ -202,7 +203,7 @@ impl<P> TenantBook<P> {
     }
 }
 
-impl TenantBook<()> {
+impl TenantBook<Vec<AndroneManifest>> {
     /// The fleet's public rows, with each account's billing-ledger
     /// figures alongside.
     pub fn outcomes(self, billing: &BillingLedger) -> BTreeMap<String, TenantOutcome> {

@@ -10,8 +10,8 @@
 //!   the kernel or board RNG streams — a flight with no faults is
 //!   byte-identical to a flight on a build with no fault machinery.
 //!
-//! The plan itself is pure data; it knows nothing about drones. A
-//! [`FaultClock`] walks the schedule tick by tick and reports which
+//! The plan itself is pure data; it knows nothing about drones. An
+//! [`ArmClock`] walks the schedule tick by tick and reports which
 //! events arm or disarm, and the consumer (the fault injector in the
 //! core crate) maps each [`FaultKind`] onto the simulated hardware.
 //! Everything hashes through [`StateHash`] so armed faults are part
@@ -534,28 +534,60 @@ impl StateHash for FleetFaultPlan {
     }
 }
 
-/// A transition reported by the [`FaultClock`]: event `index` of the
+/// A scheduled event with an arm window: armed from `arm_tick`
+/// (inclusive) to `disarm_tick` (exclusive), in whole simulated
+/// seconds since launch.
+pub trait ArmWindow {
+    fn arm_tick(&self) -> u64;
+    fn disarm_tick(&self) -> u64;
+}
+
+/// A plan of [`ArmWindow`] events an [`ArmClock`] can walk: fault
+/// plans here, attack plans in the workloads crate.
+pub trait ArmPlan {
+    type Event: ArmWindow;
+    /// The events, in plan order (transition indices point here).
+    fn events(&self) -> &[Self::Event];
+}
+
+impl ArmWindow for FaultEvent {
+    fn arm_tick(&self) -> u64 {
+        self.arm_tick
+    }
+    fn disarm_tick(&self) -> u64 {
+        self.disarm_tick
+    }
+}
+
+impl ArmPlan for FaultPlan {
+    type Event = FaultEvent;
+    fn events(&self) -> &[FaultEvent] {
+        &self.events
+    }
+}
+
+/// A transition reported by an [`ArmClock`]: event `index` of the
 /// plan armed (`armed == true`) or disarmed at the queried tick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultTransition {
+pub struct ArmTransition {
     pub index: usize,
     pub armed: bool,
 }
 
-/// Walks a [`FaultPlan`] tick by tick, reporting arm/disarm edges.
+/// Walks an [`ArmPlan`] tick by tick, reporting arm/disarm edges.
 #[derive(Debug, Clone)]
-pub struct FaultClock {
-    plan: FaultPlan,
+pub struct ArmClock<P> {
+    plan: P,
     active: Vec<bool>,
 }
 
-impl FaultClock {
-    pub fn new(plan: FaultPlan) -> FaultClock {
-        let active = vec![false; plan.events.len()];
-        FaultClock { plan, active }
+impl<P: ArmPlan> ArmClock<P> {
+    pub fn new(plan: P) -> ArmClock<P> {
+        let active = vec![false; plan.events().len()];
+        ArmClock { plan, active }
     }
 
-    pub fn plan(&self) -> &FaultPlan {
+    pub fn plan(&self) -> &P {
         &self.plan
     }
 
@@ -566,21 +598,22 @@ impl FaultClock {
 
     /// Advances the clock to `tick` and returns the edges that fire
     /// there, in plan order (arms before disarms never interleave
-    /// within one event since windows are non-empty).
-    pub fn transitions_at(&mut self, tick: u64) -> Vec<FaultTransition> {
+    /// within one event since windows are non-empty). Skipped ticks
+    /// still deliver their edges on the next query.
+    pub fn transitions_at(&mut self, tick: u64) -> Vec<ArmTransition> {
         let mut out = Vec::new();
-        for (i, e) in self.plan.events.iter().enumerate() {
-            let should_be_armed = tick >= e.arm_tick && tick < e.disarm_tick;
+        for (i, e) in self.plan.events().iter().enumerate() {
+            let should_be_armed = tick >= e.arm_tick() && tick < e.disarm_tick();
             if should_be_armed != self.active[i] {
                 self.active[i] = should_be_armed;
-                out.push(FaultTransition { index: i, armed: should_be_armed });
+                out.push(ArmTransition { index: i, armed: should_be_armed });
             }
         }
         out
     }
 }
 
-impl StateHash for FaultClock {
+impl<P: StateHash> StateHash for ArmClock<P> {
     fn state_hash(&self, h: &mut StateHasher) {
         self.plan.state_hash(h);
         for a in &self.active {
@@ -825,17 +858,17 @@ mod tests {
     #[test]
     fn clock_reports_arm_and_disarm_edges() {
         let plan = FaultPlan::single(FaultKind::GpsLoss, 10, 20);
-        let mut clock = FaultClock::new(plan);
+        let mut clock = ArmClock::new(plan);
         assert!(clock.transitions_at(9).is_empty());
         assert_eq!(
             clock.transitions_at(10),
-            vec![FaultTransition { index: 0, armed: true }]
+            vec![ArmTransition { index: 0, armed: true }]
         );
         assert!(clock.transitions_at(15).is_empty());
         assert!(clock.is_armed(0));
         assert_eq!(
             clock.transitions_at(20),
-            vec![FaultTransition { index: 0, armed: false }]
+            vec![ArmTransition { index: 0, armed: false }]
         );
         assert!(!clock.is_armed(0));
         assert!(clock.transitions_at(21).is_empty());
@@ -843,7 +876,7 @@ mod tests {
 
     #[test]
     fn empty_plan_never_transitions() {
-        let mut clock = FaultClock::new(FaultPlan::empty());
+        let mut clock = ArmClock::new(FaultPlan::empty());
         for tick in 0..300 {
             assert!(clock.transitions_at(tick).is_empty());
         }
@@ -854,7 +887,7 @@ mod tests {
         // A flight that ends early may jump the clock past windows;
         // the disarm edge still fires on the next query.
         let plan = FaultPlan::single(FaultKind::LinkPartition, 5, 8);
-        let mut clock = FaultClock::new(plan);
+        let mut clock = ArmClock::new(plan);
         assert_eq!(clock.transitions_at(6).len(), 1);
         assert_eq!(clock.transitions_at(30).len(), 1);
         assert!(!clock.is_armed(0));

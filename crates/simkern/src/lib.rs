@@ -46,8 +46,8 @@ pub use cpu::{ClientId, ResourceKind, ResourceSet, SharedResource};
 pub use error::KernelError;
 pub use event::EventQueue;
 pub use faults::{
-    CloudFaultEvent, CloudFaultKind, FaultClock, FaultEvent, FaultKind, FaultPlan,
-    FaultTransition, FleetFaultPlan, SensorChannel,
+    ArmClock, ArmPlan, ArmTransition, ArmWindow, CloudFaultEvent, CloudFaultKind, FaultEvent,
+    FaultKind, FaultPlan, FleetFaultPlan, SensorChannel,
 };
 pub use kernel::{Kernel, KernelConfig, SharedKernel};
 pub use latency::{InterferenceSource, LatencyModel, Preemption, SectionParams};

@@ -1,12 +1,16 @@
 //! Quickstart: order a virtual drone from the cloud portal, fly it,
 //! and retrieve the results — the paper's basic usage model
-//! (Section 2) in ~80 lines.
+//! (Section 2) in ~90 lines. `Androne::execute_orders` serves the
+//! order through the fleet executor: it installs the ordered app,
+//! flies, bills, saves the drone in the VDR, and returns the run's
+//! `FleetOutcome`.
 //!
 //! ```text
 //! cargo run --example quickstart
 //! ```
 
 use androne::cloud::{AppSelection, OrderRequest};
+use androne::fleet::TenantResolution;
 use androne::hal::GeoPoint;
 use androne::vdc::WaypointSpec;
 use androne::Androne;
@@ -72,17 +76,24 @@ fn main() {
     );
 
     // AnDrone plans and flies the mission.
-    let outcomes = androne
+    let run = androne
         .execute_orders(std::slice::from_ref(&order), 400.0)
         .expect("flight executes");
-    let outcome = &outcomes[0];
-    println!(
-        "Flight finished in {:.0} s using {:.0} J; completed: {}",
-        outcome.duration_s, outcome.total_energy_j, outcome.completed
-    );
-    for entry in &outcome.log {
-        println!("  {entry:?}");
+    for flight in &run.flights {
+        println!(
+            "Flight {} finished in {:.0} s using {:.0} J; completed: {} ({:?})",
+            flight.flight_index,
+            flight.duration_s,
+            flight.total_energy_j,
+            flight.completed,
+            flight.end_reason
+        );
     }
+    let tenant = &run.tenants[&order.vd_name];
+    println!(
+        "Virtual drone '{}': {} of {} waypoints served, {:?}",
+        order.vd_name, tenant.waypoints_completed, tenant.waypoints_total, tenant.resolution
+    );
 
     // Billing and notifications reflect the flight.
     let bill = androne.cloud.billing.bill("agent-smith");
@@ -94,5 +105,9 @@ fn main() {
     for n in &androne.cloud.notifications {
         println!("notify[{:?}] {}: {}", n.kind, n.user, n.message);
     }
-    assert!(outcome.completed, "quickstart flight should complete");
+    assert_eq!(
+        tenant.resolution,
+        TenantResolution::Completed,
+        "quickstart order should complete"
+    );
 }

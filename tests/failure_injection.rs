@@ -1,17 +1,20 @@
-//! Failure injection: inclement-weather aborts with VDR resume,
-//! revocation enforcement against misbehaving apps, energy
-//! exhaustion mid-task, and lossy-link control.
+//! Failure injection: inclement-weather aborts, a link-loss
+//! interruption resumed from the VDR on a later flight, revocation
+//! enforcement against misbehaving apps, energy exhaustion mid-task,
+//! and lossy-link control.
 
 use androne::android::{svc_codes, svc_names};
 use androne::binder::{get_service, Parcel};
-use androne::cloud::SaveReason;
 use androne::container::DeviceNamespaceId;
+use androne::fleet::{FleetConfig, FleetSpec, FleetTenant, TenantResolution};
 use androne::flight_exec::{execute_flight, EndReason, FlightLog};
 use androne::hal::GeoPoint;
 use androne::planner::{FlightPlan, Leg};
-use androne::simkern::{LinkModel, SchedPolicy, SimTime, TaskState};
+use androne::simkern::{
+    FaultKind, FaultPlan, FleetFaultPlan, LinkModel, SchedPolicy, SimTime, TaskState,
+};
 use androne::vdc::{VirtualDroneSpec, WaypointSpec};
-use androne::{Androne, Drone};
+use androne::Drone;
 
 const BASE: GeoPoint = GeoPoint::new(43.6084298, -85.8110359, 0.0);
 
@@ -83,59 +86,39 @@ fn weather_abort_interrupts_and_flight_returns() {
 
 #[test]
 fn interrupted_vdrone_resumes_on_a_later_flight() {
-    let mut androne = Androne::new(BASE, 1, 77);
-    const MANIFEST: &str = r#"<androne-manifest package="com.example.survey">
-        <uses-permission name="camera" type="waypoint"/>
-        <uses-permission name="flight-control" type="waypoint"/>
-    </androne-manifest>"#;
-    androne.cloud.app_store.publish(MANIFEST, "survey").unwrap();
-    let order = androne
-        .cloud
-        .portal
-        .place_order(
-            &androne.cloud.app_store,
-            androne::cloud::OrderRequest {
-                user: "alice".into(),
-                waypoints: vec![wp(60.0, 0.0, 30.0)],
-                drone_type: "video".into(),
-                apps: vec![androne::cloud::AppSelection {
-                    package: "com.example.survey".into(),
-                    args: Default::default(),
-                }],
-                extra_waypoint_devices: vec![],
-                extra_continuous_devices: vec![],
-                max_charge_cents: 200.0,
-                max_duration_s: 30.0,
-                flexible_schedule: true,
-            },
-        )
-        .unwrap();
-
-    // First flight: aborted by weather before reaching the waypoint.
-    let plans = androne.cloud.plan_flights(std::slice::from_ref(&order), BASE, 1);
-    let outcome = androne
-        .execute_one_flight(
-            std::slice::from_ref(&order),
-            plans[0].clone(),
-            400.0,
-            Some(Box::new(|t| t >= 5.0)),
-        )
-        .unwrap();
-    assert!(!outcome.completed);
-    let saved = androne.cloud.vdr.get(&order.vd_name).unwrap();
-    assert_eq!(saved.reason, SaveReason::Interrupted, "saved for resumption");
+    // First flight: the ground link drops right after launch, so the
+    // failsafe sends the drone home before it reaches the waypoint.
+    let cfg = FleetConfig {
+        base: BASE,
+        seed: 77,
+        fleet_size: 1,
+        tenants: vec![FleetTenant {
+            vd_name: "vd1".into(),
+            user: "alice".into(),
+            spec: spec(vec![wp(60.0, 0.0, 30.0)], 40_000.0, 30.0),
+        }],
+        max_waves: 3,
+        max_sim_seconds: 400.0,
+        watchdog: None,
+        threads: 1,
+    };
+    let faults = FleetFaultPlan {
+        seed: 0,
+        flights: vec![FaultPlan::single(FaultKind::LinkPartition, 3, 30)],
+        correlated: Vec::new(),
+        cloud: Vec::new(),
+    };
+    let run = FleetSpec::new(cfg).faults(faults).run().unwrap();
+    assert_eq!(run.audit(), Ok(()));
+    assert!(!run.flights[0].completed, "{:?}", run.flights[0]);
 
     // Second flight: the same virtual drone is pulled from the VDR
     // and completes.
-    let plans = androne.cloud.plan_flights(std::slice::from_ref(&order), BASE, 1);
-    let outcome = androne
-        .execute_one_flight(std::slice::from_ref(&order), plans[0].clone(), 400.0, None)
-        .unwrap();
-    assert!(outcome.completed, "log: {:?}", outcome.log);
-    assert_eq!(
-        androne.cloud.vdr.get(&order.vd_name).unwrap().reason,
-        SaveReason::Completed
-    );
+    let t = &run.tenants["vd1"];
+    assert_eq!(run.flights.len(), 2, "{:?}", run.flights);
+    assert!(run.flights[1].completed, "{:?}", run.flights[1]);
+    assert_eq!(t.flights_flown, 2, "{t:?}");
+    assert_eq!(t.resolution, TenantResolution::Completed, "{t:?}");
 }
 
 #[test]

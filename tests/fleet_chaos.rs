@@ -24,7 +24,7 @@
 //! release gate in `scripts/chaos.sh --fleet` runs the same count).
 
 use androne::android::DeviceClass;
-use androne::fleet::{FleetConfig, FleetOutcome, FleetSpec, TenantResolution};
+use androne::fleet::{FleetConfig, FleetOutcome, FleetSpec, FleetTenant, TenantResolution};
 use androne::mavlink::{deg_to_e7, Message};
 use androne::sanitizer::{TickHashes, Trace};
 use androne::simkern::{
@@ -33,7 +33,7 @@ use androne::simkern::{
 use androne::vdc::{VirtualDroneSpec, WatchdogConfig};
 use androne::{execute_flight_probed, Drone, EndReason, FaultInjector, FlightLog, FnProbe, ProbeStack};
 use rand::RngCore;
-use support::{gate_config, wp, BASE, MAX_SIM_S};
+use support::{gate_config, gate_spec, wp, BASE, MAX_SIM_S};
 
 mod support;
 
@@ -102,13 +102,15 @@ fn assert_run_invariants(cfg: &FleetConfig, run: &FleetOutcome, label: &str) {
 
 /// The gate proper: generated fleet plans, dual-run identity, crash
 /// containment against the no-fault baseline, conservation, and
-/// resolution — `FLEET_CHAOS_SEEDS` plans (default 8).
+/// resolution — `FLEET_CHAOS_SEEDS` plans (default 8), each also run
+/// on a wave budget too tight for its missions.
 #[test]
 fn fleet_gate_holds_invariants_across_generated_plans() {
     let n: u64 = std::env::var("FLEET_CHAOS_SEEDS")
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(8);
+    let mut refunds = 0;
     for i in 0..n {
         let seed = 0xF1EE_5EED ^ (i.wrapping_mul(0x9E37_79B9));
         let cfg = gate_config(seed, 3 + (i as usize % 2), 1);
@@ -132,6 +134,17 @@ fn fleet_gate_holds_invariants_across_generated_plans() {
         );
         assert_eq!(a.flights.len(), b.flights.len(), "{label}: flight count drift");
         assert_run_invariants(&cfg, &a, &label);
+        refunds += a.tenants.values().filter(|t| t.refunded_energy_j > 0.0).count();
+
+        // (d') the same plan on a wave budget that ends with the first
+        // planning round no cloud fault touches: too few flights for
+        // every mission, so the end-of-run sweep must refund what was
+        // not served and the ledger must still settle.
+        let healthy = (0..).find(|&w| faults.cloud_armed(w).is_empty()).unwrap_or(0);
+        let budget = FleetConfig { max_waves: healthy + 1, ..cfg.clone() };
+        let cut = FleetSpec::new(budget.clone()).faults(faults.clone()).run().expect("budget run");
+        assert_run_invariants(&budget, &cut, &format!("{label} [wave budget]"));
+        refunds += cut.tenants.values().filter(|t| t.refunded_energy_j > 0.0).count();
 
         // (a') thread-count independence: the parallel wave executor
         // must merge to the exact sequential run — fleet digest AND
@@ -199,6 +212,7 @@ fn fleet_gate_holds_invariants_across_generated_plans() {
             );
         }
     }
+    assert!(refunds > 0, "no generated run refunded a tenant");
 }
 
 /// An empty fleet plan driven through the fleet fault machinery must
@@ -280,10 +294,10 @@ fn portal_outage_defers_the_wave_and_orders_still_complete() {
     );
 }
 
-/// The generated gate plans all complete, so this scenario drives the
-/// refund path: a one-wave budget lets each tenant serve one of its two
-/// waypoints, and the end-of-run sweep refunds the unserved remainder.
-/// The ledger must settle at every thread width.
+/// The refund path on a hand-built scenario: a one-wave budget lets
+/// each tenant serve one of its two waypoints, and the end-of-run
+/// sweep refunds the unserved remainder. The ledger must settle at
+/// every thread width.
 #[test]
 fn wave_budget_sweep_refunds_the_unserved_remainder() {
     for threads in [1usize, 4] {
@@ -295,6 +309,48 @@ fn wave_budget_sweep_refunds_the_unserved_remainder() {
             assert!(t.flights_flown == 1 && t.refunded_energy_j > 0.0, "{name}: {t:?}");
         }
     }
+}
+
+/// The unresumable branch of the order loop: the tenant's one-second
+/// time allotment is spent at its first waypoint (a tick lands inside
+/// that leg's half-second service window and bills the whole second),
+/// and the link failsafe sends the flight home before the second. The
+/// drone is stored interrupted with nothing left to fly on, so the
+/// next wave's checkout cannot resume it and refunds the unserved
+/// energy instead of planning it.
+#[test]
+fn unresumable_entry_is_refunded_at_checkout() {
+    let mut spec = gate_spec(0.0);
+    spec.waypoints = vec![wp(42.0, -30.0, 40.0), wp(-200.0, -200.0, 40.0)];
+    spec.max_duration = 1.0;
+    let cfg = FleetConfig {
+        fleet_size: 1,
+        tenants: vec![FleetTenant {
+            vd_name: "vd1".into(),
+            user: "user1".into(),
+            spec,
+        }],
+        ..gate_config(0x0DD, 1, 1)
+    };
+    let faults = FleetFaultPlan {
+        seed: 0,
+        flights: vec![FaultPlan::single(FaultKind::LinkPartition, 30, 70)],
+        correlated: Vec::new(),
+        cloud: Vec::new(),
+    };
+    let run = FleetSpec::new(cfg.clone()).faults(faults).run().expect("fleet run");
+    assert_run_invariants(&cfg, &run, "unresumable entry");
+
+    let t = &run.tenants["vd1"];
+    assert!(!run.flights[0].completed, "{:?}", run.flights[0]);
+    assert_eq!(
+        (t.flights_flown, t.waypoints_completed, t.remaining_time_s),
+        (1, 1, 0.0),
+        "the time ran out at the first waypoint: {t:?}"
+    );
+    assert_eq!(t.resolution, TenantResolution::Refunded, "{t:?}");
+    assert!(t.refunded_energy_j > 0.0, "{t:?}");
+    assert_eq!(run.waves_run, 2, "refunded at wave 1's checkout, not by the end-of-run sweep");
 }
 
 /// Cross-flight resume end-to-end: a long link partition latches the

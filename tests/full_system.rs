@@ -3,6 +3,7 @@
 
 use androne::android::{AndroneManifest, DeviceClass};
 use androne::cloud::{AppSelection, OrderRequest};
+use androne::fleet::TenantResolution;
 use androne::flight_exec::execute_flight;
 use androne::hal::GeoPoint;
 use androne::simkern::MIB;
@@ -160,18 +161,36 @@ fn full_order_to_flight_workflow() {
         )
         .unwrap();
 
-    let outcomes = androne.execute_orders(std::slice::from_ref(&order), 300.0).unwrap();
-    assert_eq!(outcomes.len(), 1);
-    assert!(outcomes[0].completed);
+    let run = androne
+        .execute_orders(std::slice::from_ref(&order), 300.0)
+        .unwrap();
+    assert_eq!(run.audit(), Ok(()));
+    assert_eq!(run.flights.len(), 1);
+    assert!(run.flights[0].completed);
+    assert_eq!(
+        run.tenants[&order.vd_name].resolution,
+        TenantResolution::Completed
+    );
 
-    // Billing, VDR, and notifications all reflect the flight.
+    // Billing, VDR, and notifications all reflect the flight; the
+    // stored drone carries the installed app.
     assert!(androne.cloud.billing.bill("alice").energy_j > 0.0);
-    assert!(androne.cloud.vdr.get(&order.vd_name).is_some());
-    assert!(androne
+    let saved = androne
         .cloud
-        .notifications
-        .iter()
-        .any(|n| n.message.contains("complete")));
+        .vdr
+        .get(&order.vd_name)
+        .expect("stored in the VDR");
+    let apk = "/data/app/com.example.survey.apk";
+    assert!(saved.archive.diff.get(apk).is_some(), "{apk} not installed");
+    let sent = |text: &str| {
+        androne
+            .cloud
+            .notifications
+            .iter()
+            .any(|n| n.user == "alice" && n.message.contains(text))
+    };
+    assert!(sent("launching"), "{:?}", androne.cloud.notifications);
+    assert!(sent("complete"), "{:?}", androne.cloud.notifications);
 }
 
 #[test]
